@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the design choices listed in ARCHITECTURE.md
+//! ("Deviations from the paper"):
 //!
 //! * Vertex-Tree range index vs linear scan with residual predicates
 //!   (storage layer of Fig. 11);

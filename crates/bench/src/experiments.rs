@@ -1,5 +1,6 @@
 //! Experiment definitions: one function per paper figure (§10.2–§10.4),
-//! plus the §8 complexity check and the DESIGN.md ablations.
+//! plus the §8 complexity check and the ablations listed in
+//! ARCHITECTURE.md ("Deviations from the paper").
 //!
 //! Event counts are scaled to laptop budgets (the two-step baselines are
 //! exponential; the paper itself reports them failing to terminate at
@@ -256,9 +257,9 @@ pub fn complexity(sizes: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// **Ablations** (DESIGN.md): Vertex-Tree range index on/off, and window
-/// sharing vs. per-window replication (emulated by running one tumbling
-/// engine per slide offset).
+/// **Ablations** (ARCHITECTURE.md, "Deviations from the paper"):
+/// Vertex-Tree range index on/off, and window sharing vs. per-window
+/// replication (emulated by running one tumbling engine per slide offset).
 pub fn ablations(n: usize) -> Vec<Row> {
     let mut rows = Vec::new();
 

@@ -315,6 +315,40 @@ impl<N: TrendNum> AggState<N> {
         }
     }
 
+    /// Carrier slots in flat order: `count`, `counts_e`, `sums`.
+    pub(crate) fn num_slots(&self) -> impl Iterator<Item = &N> {
+        std::iter::once(&self.count)
+            .chain(self.counts_e.iter())
+            .chain(self.sums.iter())
+    }
+
+    /// Extremum slots in flat order: `mins`, `maxs`.
+    pub(crate) fn ext_slots(&self) -> impl Iterator<Item = &f64> {
+        self.mins.iter().chain(self.maxs.iter())
+    }
+
+    /// [`merge`](Self::merge) a state stored flat, in the order of
+    /// [`num_slots`](Self::num_slots) and [`ext_slots`](Self::ext_slots).
+    pub(crate) fn merge_slots(&mut self, nums: &[N], exts: &[f64]) {
+        let mut nums = nums.iter();
+        if let Some(c) = nums.next() {
+            self.count.add_assign(c);
+        }
+        for (a, b) in self.counts_e.iter_mut().zip(nums.by_ref()) {
+            a.add_assign(b);
+        }
+        for (a, b) in self.sums.iter_mut().zip(nums) {
+            a.add_assign(b);
+        }
+        let mut exts = exts.iter();
+        for (a, b) in self.mins.iter_mut().zip(exts.by_ref()) {
+            *a = a.min(*b);
+        }
+        for (a, b) in self.maxs.iter_mut().zip(exts) {
+            *a = a.max(*b);
+        }
+    }
+
     /// Apply the inserted event's own contribution (Theorem 9.1), after all
     /// predecessor states have been merged:
     ///

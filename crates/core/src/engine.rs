@@ -62,6 +62,11 @@ pub struct EngineStats {
     pub edges: u64,
     /// Result rows emitted.
     pub results: u64,
+    /// Per-window aggregate merges into new vertices: one per predecessor
+    /// and window on the scan path, one per subtree sum or single entry and
+    /// window on the predecessor aggregate index. A work counter: not
+    /// persisted in snapshots, so it restarts from zero after a restore.
+    pub merges: u64,
 }
 
 struct Partition<N: TrendNum> {
@@ -211,8 +216,9 @@ impl<N: TrendNum> GretaEngine<N> {
             let charge = shared_heap_size(e);
             self.replay_bytes += charge;
             self.replay.push_back((e.clone(), charge));
-            // Replay buffer is one window deep (DESIGN.md: Def-5 effects for
-            // late-created partitions are window-bounded).
+            // Replay buffer is one window deep (ARCHITECTURE.md, "Deviations
+            // from the paper": Def-5 effects for late-created partitions are
+            // window-bounded).
             let cutoff = e.time.ticks().saturating_sub(self.query.window.within);
             while self
                 .replay
@@ -240,12 +246,18 @@ impl<N: TrendNum> GretaEngine<N> {
         if self.partitions.contains_key(key) {
             return;
         }
+        let ctx = Ctx {
+            layout: &self.layout,
+            window: self.query.window,
+            semantics: self.config.semantics,
+            use_range_index: self.config.use_range_index,
+        };
         let mut part = Partition {
             alts: self
                 .query
                 .alternatives
                 .iter()
-                .map(|alt| AltRuntime::new(alt, &self.query.window))
+                .map(|alt| AltRuntime::new(alt, &ctx))
                 .collect(),
         };
         self.deferred_final =
@@ -257,16 +269,11 @@ impl<N: TrendNum> GretaEngine<N> {
             .filter(|(old, _)| self.routing.extractor().key_of(old).matches(key))
             .map(|(old, _)| old.clone())
             .collect();
-        let ctx = Ctx {
-            layout: &self.layout,
-            window: self.query.window,
-            semantics: self.config.semantics,
-            use_range_index: self.config.use_range_index,
-        };
         for (i, old) in replayable.iter().enumerate() {
             // Replayed events are historical; give them sequence numbers
             // below any live event's global index. Contiguous semantics is
-            // approximate across replay (see DESIGN.md).
+            // approximate across replay (see ARCHITECTURE.md, "Deviations
+            // from the paper").
             let seq = i as u64;
             for alt in part.alts.iter_mut() {
                 alt.process(&ctx, old, seq, |_, _| {});
@@ -291,12 +298,18 @@ impl<N: TrendNum> GretaEngine<N> {
         let seq = self.seq;
         let mut end_updates: Vec<(WindowId, AggState<N>)> = Vec::new();
         for alt in part.alts.iter_mut() {
-            let (v0, e0, b0) = (alt.vertices_inserted, alt.edges_traversed, alt.bytes());
+            let (v0, e0, m0, b0) = (
+                alt.vertices_inserted,
+                alt.edges_traversed,
+                alt.merges,
+                alt.bytes(),
+            );
             alt.process(&ctx, e, seq, |w, st| {
                 end_updates.push((w, st.clone()));
             });
             self.stats.vertices += alt.vertices_inserted - v0;
             self.stats.edges += alt.edges_traversed - e0;
+            self.stats.merges += alt.merges - m0;
             self.live_bytes = self.live_bytes + alt.bytes() - b0;
         }
         if !self.deferred_final {
@@ -551,13 +564,15 @@ impl<N: TrendNum> GretaEngine<N> {
                 ))
                 .into());
             }
+            let ctx = Ctx {
+                layout: &eng.layout,
+                window: eng.query.window,
+                semantics: eng.config.semantics,
+                use_range_index: eng.config.use_range_index,
+            };
             let mut alts = Vec::with_capacity(n_alts);
             for plan in &eng.query.alternatives {
-                alts.push(crate::graph::AltRuntime::decode_state(
-                    plan,
-                    &eng.query.window,
-                    r,
-                )?);
+                alts.push(crate::graph::AltRuntime::decode_state(plan, &ctx, r)?);
             }
             let part = Partition { alts };
             eng.deferred_final = eng.deferred_final
@@ -699,6 +714,7 @@ impl<N: TrendNum> GretaEngine<N> {
             s0.events += old.stats.events;
             s0.vertices += old.stats.vertices;
             s0.edges += old.stats.edges;
+            s0.merges += old.stats.merges;
             s0.results += old.stats.results;
             peak_sum += old.peak.peak();
             news[0].emitted.append(&mut old.emitted);

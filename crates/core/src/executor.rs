@@ -1861,6 +1861,7 @@ impl<N: TrendNum> StreamExecutor<N> {
                     s.events += report.stats.events;
                     s.vertices += report.stats.vertices;
                     s.edges += report.stats.edges;
+                    s.merges += report.stats.merges;
                     s.results += report.stats.results;
                     self.stats.peak_memory_bytes += report.peak_bytes;
                     for (group, vertices) in report.group_vertices {
@@ -2878,6 +2879,7 @@ fn worker_loop<N: TrendNum>(
             stats.events += es.events;
             stats.vertices += es.vertices;
             stats.edges += es.edges;
+            stats.merges += es.merges;
             stats.results += es.results;
             peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
             if s.query == 0 {

@@ -12,10 +12,14 @@
 //! 3. find valid predecessors per predecessor state — Vertex-Tree range
 //!    query for the range-form edge predicate, residual predicates on the
 //!    candidates, Definition-5 invalidation thresholds, selection-semantics
-//!    filter;
+//!    filter — and merge their per-window aggregates. Edges eligible for
+//!    the predecessor aggregate index (skip-till-any-match, no negation, no
+//!    predicate or one range-form predicate other than `≠`) skip the
+//!    per-predecessor walk: [`GraphStorage::fold_predecessors`] returns
+//!    O(log n) subtree sums;
 //! 4. insert iff START or some predecessor exists (Algorithm 2 line 5);
-//! 5. compute the per-window aggregates by merging predecessor states and
-//!    applying the event's own contribution (Theorem 9.1);
+//! 5. apply the event's own contribution to the merged aggregates
+//!    (Theorem 9.1);
 //! 6. END events: root graphs report their aggregate to the caller;
 //!    negative graphs append to their [`InvalidationLog`] and prune the
 //!    finished trend (Example 5).
@@ -26,8 +30,9 @@ use crate::negation::{
     Dependency, InvalidationLog,
 };
 use crate::semantics::Semantics;
-use crate::storage::{GraphStorage, Vertex, VertexId};
+use crate::storage::{AugSpec, GraphStorage, Vertex, VertexId};
 use crate::window::{pane_length, windows_of, WindowId};
+use greta_query::ast::CmpOp;
 use greta_query::compile::AltPlan;
 use greta_query::predicate::{CompiledExpr, EdgePredicate};
 use greta_query::{StateId, WindowSpec};
@@ -87,6 +92,12 @@ struct PredOps {
     /// Index into `eps` of the predicate the Vertex Tree answers as a
     /// range query (honored only when `Ctx::use_range_index` is set).
     range_idx: Option<usize>,
+    /// Answered by subtree sums ([`GraphStorage::fold_predecessors`])
+    /// instead of a per-predecessor walk. Decided at plan time: the range
+    /// index is on, semantics are skip-till-any-match, the alternative has
+    /// no negation (no Definition-5 checks, no pruning), and the edge's
+    /// predicates are none or exactly its range-form one (never `≠`).
+    aggregate: bool,
 }
 
 /// Runtime of one compiled alternative within one partition.
@@ -99,12 +110,24 @@ pub struct AltRuntime<N: TrendNum> {
     /// Edges traversed, i.e. predecessor pairs merged (statistics; the
     /// quadratic term of Theorem 8.1).
     pub edges_traversed: u64,
+    /// Per-window aggregate merges into new vertices: one per predecessor
+    /// and window on the scan path, one per subtree sum and window on the
+    /// aggregate index (statistics; not persisted).
+    pub merges: u64,
 }
 
 impl<N: TrendNum> AltRuntime<N> {
-    /// Set up runtime state for an alternative.
-    pub fn new(plan: &AltPlan, window: &WindowSpec) -> AltRuntime<N> {
+    /// Set up runtime state for an alternative under `ctx` (the layout,
+    /// window, semantics and range-index switch the engine will process
+    /// with).
+    pub fn new(plan: &AltPlan, ctx: &Ctx<'_>) -> AltRuntime<N> {
+        let window = &ctx.window;
         let pane_len = pane_length(window);
+        // Subtree sums are exact only without Definition-5 invalidation or
+        // pruning (negation) and when every predecessor in range is merged.
+        let aggregate_ok = ctx.use_range_index
+            && ctx.semantics == Semantics::SkipTillAny
+            && plan.graphs.len() == 1;
         let mut graphs = Vec::with_capacity(plan.graphs.len());
         let mut ops = Vec::with_capacity(plan.graphs.len());
         for spec in &plan.graphs {
@@ -128,32 +151,47 @@ impl<N: TrendNum> AltRuntime<N> {
             }
             let mut states: Vec<StateOps> = Vec::with_capacity(spec.state_types.len());
             let mut dispatch: Vec<Vec<usize>> = Vec::new();
+            let mut aug: Vec<Option<AugSpec>> = vec![None; n_states];
             for (sid, tid) in &spec.state_types {
                 let ti = tid.0 as usize;
                 if dispatch.len() <= ti {
                     dispatch.resize(ti + 1, Vec::new());
                 }
                 dispatch[ti].push(states.len());
-                let preds = spec
-                    .template
-                    .predecessors(*sid)
-                    .into_iter()
-                    .map(|p_state| {
-                        let eps: Vec<EdgePredicate> =
-                            plan.predicates.edge_preds(p_state, *sid).cloned().collect();
-                        let range_idx = eps.iter().position(|ep| {
-                            ep.range.as_ref().is_some_and(|r| {
-                                sort_attr.get(p_state.0 as usize).copied().flatten()
+                let mut preds = Vec::new();
+                for p_state in spec.template.predecessors(*sid) {
+                    let eps: Vec<EdgePredicate> =
+                        plan.predicates.edge_preds(p_state, *sid).cloned().collect();
+                    // `≠` is no contiguous range: it stays a residual
+                    // predicate, checked on every candidate.
+                    let range_idx = eps.iter().position(|ep| {
+                        ep.range.as_ref().is_some_and(|r| {
+                            r.op != CmpOp::Ne
+                                && sort_attr.get(p_state.0 as usize).copied().flatten()
                                     == Some(r.prev_attr)
-                            })
-                        });
-                        PredOps {
-                            p_state,
-                            eps,
-                            range_idx,
-                        }
-                    })
-                    .collect();
+                        })
+                    });
+                    let aggregate = aggregate_ok
+                        && match eps.len() {
+                            0 => true,
+                            1 => range_idx == Some(0),
+                            _ => false,
+                        };
+                    if aggregate {
+                        // Vertices of a non-START state inherit their
+                        // predecessors' latest start: keep it per subtree.
+                        let starts = !spec.template.is_start(*sid);
+                        let slot = &mut aug[p_state.0 as usize];
+                        let prev = slot.is_some_and(|a: AugSpec| a.starts);
+                        *slot = Some(AugSpec::new(ctx.layout, starts || prev));
+                    }
+                    preds.push(PredOps {
+                        p_state,
+                        eps,
+                        range_idx,
+                        aggregate,
+                    });
+                }
                 states.push(StateOps {
                     state: *sid,
                     is_start: spec.template.is_start(*sid),
@@ -176,7 +214,7 @@ impl<N: TrendNum> AltRuntime<N> {
                 })
                 .collect();
             graphs.push(GraphRuntime {
-                storage: GraphStorage::new(pane_len, sort_attr),
+                storage: GraphStorage::new(pane_len, sort_attr).with_aggregates(*window, aug),
                 log: InvalidationLog::default(),
                 deps,
             });
@@ -190,6 +228,7 @@ impl<N: TrendNum> AltRuntime<N> {
             ops,
             vertices_inserted: 0,
             edges_traversed: 0,
+            merges: 0,
         }
     }
 
@@ -245,6 +284,10 @@ impl<N: TrendNum> AltRuntime<N> {
             }
         }
 
+        // Entries tied with `e` join the aggregate index's sums only now
+        // that time has advanced past them.
+        self.graphs[gi].storage.settle(e.time);
+
         for &si in state_idxs.iter() {
             let so = &ops.states[si];
             let state = so.state;
@@ -255,9 +298,17 @@ impl<N: TrendNum> AltRuntime<N> {
             let is_start = so.is_start;
             let is_end = so.is_end;
 
-            // --- predecessor collection ------------------------------------
+            // lint:allow(hot-path): these aggregates ARE the new vertex's owned state — the allocation is the data structure, not a copy
+            let mut aggs: Vec<(WindowId, AggState<N>)> = Vec::new();
+            for w in windows_of(e.time, &ctx.window) {
+                aggs.push((w, AggState::zero(ctx.layout)));
+            }
+            let mut latest_start = if is_start { e.time } else { Time::ZERO };
+            let mut edges = 0u64;
             // lint:allow(hot-path): per-state scratch; hoisting it would alias the storage borrow taken inside visit_candidates
             let mut preds: Vec<VertexId> = Vec::new();
+
+            // --- predecessors and aggregate propagation (Theorem 9.1) -------
             let lo = Time(e.time.ticks().saturating_sub(ctx.window.within - 1));
             for po in &so.preds {
                 let p_state = po.p_state;
@@ -270,6 +321,21 @@ impl<N: TrendNum> AltRuntime<N> {
                     None
                 };
                 let range = range_idx.map(|i| eps[i].range.as_ref().unwrap().bound(e));
+
+                if po.aggregate {
+                    // A START vertex's latest start is its own time.
+                    let f = self.graphs[gi].storage.fold_predecessors(
+                        p_state,
+                        lo,
+                        e.time,
+                        range,
+                        &mut aggs,
+                        (!is_start).then_some(&mut latest_start),
+                    );
+                    edges += f.edges;
+                    self.merges += f.merges;
+                    continue;
+                }
 
                 let (storage, deps, logs_src) = {
                     let (before, rest) = self.graphs.split_at(gi);
@@ -286,6 +352,7 @@ impl<N: TrendNum> AltRuntime<N> {
                         .map(|gr| &gr.log)
                 };
 
+                preds.clear();
                 let mut best: Option<(u64, VertexId)> = None; // skip-till-next
                 storage.visit_candidates(p_state, lo, e.time, range, |id, v| {
                     // Definition-5 invalidation.
@@ -318,33 +385,24 @@ impl<N: TrendNum> AltRuntime<N> {
                 if let Some((_, id)) = best {
                     preds.push(id);
                 }
-            }
-
-            // Algorithm 2 line 5: MID/END events need a predecessor.
-            if !is_start && preds.is_empty() {
-                continue;
-            }
-
-            // --- aggregate propagation (Theorem 9.1) ------------------------
-            // lint:allow(hot-path): these aggregates ARE the new vertex's owned state — the allocation is the data structure, not a copy
-            let mut aggs: Vec<(WindowId, AggState<N>)> = Vec::new();
-            for w in windows_of(e.time, &ctx.window) {
-                aggs.push((w, AggState::zero(ctx.layout)));
-            }
-            let mut latest_start = if is_start { e.time } else { Time::ZERO };
-            {
-                let storage = &self.graphs[gi].storage;
                 for pid in &preds {
                     let pv = storage.store.get(*pid);
                     latest_start = latest_start.max(pv.latest_start);
                     for (w, st) in aggs.iter_mut() {
                         if let Some(ps) = pv.agg(*w) {
                             st.merge(ps);
+                            self.merges += 1;
                         }
                     }
                 }
+                edges += preds.len() as u64;
             }
-            self.edges_traversed += preds.len() as u64;
+
+            // Algorithm 2 line 5: MID/END events need a predecessor.
+            if !is_start && edges == 0 {
+                continue;
+            }
+            self.edges_traversed += edges;
             for (_, st) in aggs.iter_mut() {
                 st.apply_own(e, is_start, ctx.layout);
             }
@@ -450,16 +508,18 @@ impl<N: TrendNum> AltRuntime<N> {
         }
     }
 
-    /// Rebuild a runtime from `plan`/`window` and state written by
-    /// [`encode_state`](Self::encode_state). Vertices are re-inserted in
-    /// pane order, reconstructing the pane/tree indexes exactly.
+    /// Rebuild a runtime from `plan`/`ctx` and state written by
+    /// [`encode_state`](Self::encode_state). Vertices keep their stored
+    /// order in the slab and are indexed in arrival order, reconstructing
+    /// the pane/tree indexes (tree shapes and subtree sums depend only on
+    /// the entries, so the restored sums are bit-identical).
     pub fn decode_state(
         plan: &AltPlan,
-        window: &WindowSpec,
+        ctx: &Ctx<'_>,
         r: &mut greta_types::Reader<'_>,
     ) -> Result<AltRuntime<N>, greta_types::CodecError> {
         use greta_types::CodecError;
-        let mut rt = AltRuntime::new(plan, window);
+        let mut rt = AltRuntime::new(plan, ctx);
         rt.vertices_inserted = r.u64()?;
         rt.edges_traversed = r.u64()?;
         let n = r.seq_len(8)?;
@@ -472,10 +532,11 @@ impl<N: TrendNum> AltRuntime<N> {
         for g in &mut rt.graphs {
             g.log = crate::negation::InvalidationLog::decode(r)?;
             let nv = r.seq_len(27)?;
+            let mut vertices = Vec::with_capacity(nv);
             for _ in 0..nv {
-                let v = crate::state::decode_vertex(r)?;
-                g.storage.insert(v);
+                vertices.push(crate::state::decode_vertex(r)?);
             }
+            g.storage.restore(vertices);
         }
         Ok(rt)
     }
@@ -504,13 +565,13 @@ mod tests {
         let (reg, q) = setup(pattern);
         let layout = AggLayout::new(&q.aggregates);
         let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
         let ctx = Ctx {
             layout: &layout,
             window: q.window,
             semantics: Semantics::SkipTillAny,
             use_range_index: true,
         };
+        let mut rt = AltRuntime::<f64>::new(plan, &ctx);
         let mut total = 0.0;
         for (seq, (ty, t)) in events.iter().enumerate() {
             let e = EventBuilder::new(&reg, ty)
@@ -636,13 +697,13 @@ mod tests {
         let (reg, q) = setup("A+");
         let layout = AggLayout::new(&q.aggregates);
         let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
         let ctx = Ctx {
             layout: &layout,
             window: q.window,
             semantics: Semantics::Contiguous,
             use_range_index: true,
         };
+        let mut rt = AltRuntime::<f64>::new(plan, &ctx);
         let mut total = 0.0;
         for (seq, t) in [1u64, 2, 3].iter().enumerate() {
             let e = EventBuilder::new(&reg, "A")
@@ -661,13 +722,13 @@ mod tests {
         let (reg, q) = setup("A+");
         let layout = AggLayout::new(&q.aggregates);
         let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
         let ctx = Ctx {
             layout: &layout,
             window: q.window,
             semantics: Semantics::SkipTillNext,
             use_range_index: true,
         };
+        let mut rt = AltRuntime::<f64>::new(plan, &ctx);
         let mut total = 0.0;
         for (seq, t) in (1u64..=10).enumerate() {
             let e = EventBuilder::new(&reg, "A")
@@ -686,13 +747,13 @@ mod tests {
         let (reg, q) = setup("A+");
         let layout = AggLayout::new(&q.aggregates);
         let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
         let ctx = Ctx {
             layout: &layout,
             window: q.window,
             semantics: Semantics::SkipTillAny,
             use_range_index: true,
         };
+        let mut rt = AltRuntime::<f64>::new(plan, &ctx);
         for (seq, t) in (1u64..=4).enumerate() {
             let e = EventBuilder::new(&reg, "A")
                 .unwrap()

@@ -6,39 +6,35 @@
 //! * panes are consecutive time intervals of length `gcd(within, slide)`;
 //!   window boundaries align with pane boundaries, so a whole pane (and its
 //!   trees) is batch-deleted once its last window closed;
-//! * each pane holds one ordered tree per template state, sorted by the
-//!   attribute of that state's range-form edge predicate (falling back to
-//!   event time), so edge predicates are answered with range queries.
+//! * each pane holds one ordered tree per template state, keyed by
+//!   `(sort key, seq)`: the attribute of that state's range-form edge
+//!   predicate (falling back to event time), so edge predicates are
+//!   answered with range queries.
+//!
+//! A Vertex Tree is an arena treap. For *aggregate-indexed* states (see
+//! [`AugSpec`]) every node also carries its subtree's entry count, the
+//! summed per-window aggregates of the pane, and optionally the latest
+//! trend start, so a range of predecessors is merged as O(log n) subtree
+//! sums instead of one merge per predecessor
+//! ([`GraphStorage::fold_predecessors`]). Sums are always recomputed as
+//! `own + left + right` over a tree whose shape depends only on the live
+//! entries (priorities hash the key, the event time and the rank among
+//! equal `(key, time)` entries), so floating-point results do not depend
+//! on insertion history.
 //!
 //! Edges are **not** stored: each edge is traversed exactly once, when the
 //! newer event's aggregate is computed (paper §7).
 
-use crate::agg::{AggState, TrendNum};
-use crate::window::WindowId;
+use crate::agg::{AggLayout, AggState, TrendNum};
+use crate::window::{windows_of, WindowId};
 use greta_query::ast::CmpOp;
-use greta_query::StateId;
+use greta_query::{StateId, WindowSpec};
 use greta_types::{shared_heap_size, AttrId, EventRef, Time};
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// Slab index of a vertex.
 pub type VertexId = u32;
-
-/// Totally ordered f64 key for the vertex trees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// A graph vertex: one matched event at one template state, carrying one
 /// aggregate per window it falls into (paper §4.2 / §6).
@@ -66,6 +62,17 @@ impl<N: TrendNum> Vertex<N> {
             .binary_search_by_key(&wid, |(w, _)| *w)
             .ok()
             .map(|i| &self.aggs[i].1)
+    }
+
+    /// Aggregate for the `j`-th window of its pane (whose first window is
+    /// `first`): a direct index on the hot paths of the aggregate index,
+    /// with the search as fallback for a list not starting at `first`.
+    fn pane_agg(&self, first: WindowId, j: usize) -> Option<&AggState<N>> {
+        let wid = first + j as WindowId;
+        match self.aggs.get(j) {
+            Some((w, st)) if *w == wid => Some(st),
+            _ => self.agg(wid),
+        }
     }
 
     /// Approximate heap bytes of this vertex. The shared event payload is
@@ -156,48 +163,744 @@ impl<N: TrendNum> VertexStore<N> {
     }
 }
 
-/// Ordered index of one state's vertices within one pane.
-#[derive(Debug, Default)]
-struct StateTree {
-    tree: BTreeMap<(OrdF64, u64), VertexId>,
+/// The subtree aggregates an aggregate-indexed state's trees keep per
+/// node: the [`AggState`] slots of the query's layout, per window of the
+/// pane, and optionally the latest trend start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AugSpec {
+    counts: usize,
+    sums: usize,
+    mins: usize,
+    maxs: usize,
+    pub(crate) starts: bool,
 }
 
-/// Per-entry overhead estimate for memory accounting (key + value + BTree
-/// node amortization).
-pub const TREE_ENTRY_BYTES: usize = 48;
-
-impl StateTree {
-    fn insert(&mut self, key: f64, seq: u64, id: VertexId) {
-        self.tree.insert((OrdF64(key), seq), id);
-    }
-
-    fn remove(&mut self, key: f64, seq: u64) {
-        self.tree.remove(&(OrdF64(key), seq));
-    }
-
-    /// Visit ids whose key satisfies `key ⟨op⟩ bound`; `None` visits all.
-    fn visit(&self, range: Option<(CmpOp, f64)>, f: &mut impl FnMut(VertexId)) {
-        use Bound::*;
-        type Key = (OrdF64, u64);
-        let full = (
-            (OrdF64(f64::NEG_INFINITY), 0),
-            (OrdF64(f64::INFINITY), u64::MAX),
-        );
-        let (lo, hi): (Bound<Key>, Bound<Key>) = match range {
-            None => (Included(full.0), Included(full.1)),
-            Some((op, b)) => match op {
-                CmpOp::Lt => (Included(full.0), Excluded((OrdF64(b), 0))),
-                CmpOp::Le => (Included(full.0), Included((OrdF64(b), u64::MAX))),
-                CmpOp::Gt => (Excluded((OrdF64(b), u64::MAX)), Included(full.1)),
-                CmpOp::Ge => (Included((OrdF64(b), 0)), Included(full.1)),
-                CmpOp::Eq => (Included((OrdF64(b), 0)), Included((OrdF64(b), u64::MAX))),
-                // Ne cannot be a contiguous range: visit all, caller filters.
-                CmpOp::Ne => (Included(full.0), Included(full.1)),
-            },
-        };
-        for (_, id) in self.tree.range((lo, hi)) {
-            f(*id);
+impl AugSpec {
+    /// Slots for `layout`; `starts` keeps the maximum `latest_start` per
+    /// subtree (needed when an aggregate-indexed edge leads to a state that
+    /// is not a START state, whose vertices inherit their predecessors'
+    /// latest start).
+    pub fn new(layout: &AggLayout, starts: bool) -> AugSpec {
+        AugSpec {
+            counts: layout.count_targets.len(),
+            sums: layout.sum_targets.len(),
+            mins: layout.min_targets.len(),
+            maxs: layout.max_targets.len(),
+            starts,
         }
+    }
+
+    /// Carrier slots per window: `count`, then `counts_e`, then `sums`.
+    fn nums(&self) -> usize {
+        1 + self.counts + self.sums
+    }
+
+    /// Extremum slots per window: `mins`, then `maxs`.
+    fn exts(&self) -> usize {
+        self.mins + self.maxs
+    }
+}
+
+/// Work done by one [`GraphStorage::fold_predecessors`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// Predecessor entries covered (the edges of the scan it replaces).
+    pub edges: u64,
+    /// Per-window aggregate merges performed (subtree sums or single
+    /// entries).
+    pub merges: u64,
+}
+
+/// A sort key as an integer in the order of `f64::total_cmp` (the same
+/// bit transform), so tree comparisons are integer comparisons.
+fn ord_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Inclusive bounds of a range query on a tree's ordered keys; `lo > hi`
+/// is empty.
+#[derive(Debug, Clone, Copy)]
+struct KeyRange {
+    lo: i64,
+    hi: i64,
+}
+
+impl KeyRange {
+    const ALL: KeyRange = KeyRange {
+        lo: i64::MIN,
+        hi: i64::MAX,
+    };
+    const EMPTY: KeyRange = KeyRange {
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    /// Keys satisfying `key ⟨op⟩ bound`; `None` and `Ne` (not a contiguous
+    /// range: the caller filters) cover every key.
+    fn of(range: Option<(CmpOp, f64)>) -> KeyRange {
+        let Some((op, b)) = range else {
+            return KeyRange::ALL;
+        };
+        let k = ord_key(b);
+        let below = |hi: Option<i64>| {
+            hi.map_or(KeyRange::EMPTY, |hi| KeyRange {
+                hi,
+                ..KeyRange::ALL
+            })
+        };
+        let above = |lo: Option<i64>| {
+            lo.map_or(KeyRange::EMPTY, |lo| KeyRange {
+                lo,
+                ..KeyRange::ALL
+            })
+        };
+        match op {
+            CmpOp::Ne => KeyRange::ALL,
+            CmpOp::Lt => below(k.checked_sub(1)),
+            CmpOp::Le => below(Some(k)),
+            CmpOp::Gt => above(k.checked_add(1)),
+            CmpOp::Ge => above(Some(k)),
+            CmpOp::Eq => KeyRange { lo: k, hi: k },
+        }
+    }
+
+    /// Which bounds a descent still has to check.
+    fn bounds(&self) -> (bool, bool) {
+        (self.lo != i64::MIN, self.hi != i64::MAX)
+    }
+
+    fn contains(&self, key: i64) -> bool {
+        self.lo <= key && key <= self.hi
+    }
+}
+
+/// Null arena link.
+const NIL: u32 = u32::MAX;
+
+/// One tree entry. Freed slots carry `id == NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Sort key, [`ord_key`]-encoded.
+    key: i64,
+    seq: u64,
+    id: VertexId,
+    prio: u32,
+    left: u32,
+    right: u32,
+    /// Active entries in this subtree.
+    live: u32,
+    /// Cleared once the entry's time fell below the candidate horizon of a
+    /// pane straddling it (the entry then no longer counts as an edge).
+    active: bool,
+}
+
+fn mix(mut z: u64) -> u64 {
+    // splitmix64 finalizer.
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Treap priority: a fixed hash, so the tree shape is a function of the
+/// entries alone.
+fn priority(key: i64, a: u64, b: u64) -> u32 {
+    (mix(mix(mix(key as u64) ^ a) ^ b) >> 32) as u32
+}
+
+/// One piece of a range decomposition.
+#[derive(Clone, Copy)]
+enum Piece {
+    /// A whole subtree inside the range.
+    Subtree(u32),
+    /// A single entry inside the range (its subtrees are not).
+    Entry(u32),
+}
+
+/// Linked entries from which an aggregate-indexed tree keeps subtree sums.
+/// A smaller tree is folded entry by entry, in key order: below this size
+/// a walk merges about as much as the subtree pieces would, and keeping
+/// the sums on insert costs more than it saves. The size is a function of
+/// the entries, so either way the summation order is too.
+const SUMS_FROM_ENTRIES: usize = 16;
+
+/// Flat subtree aggregates of an aggregate-indexed tree, `windows` windows
+/// starting at `first`, one fixed-size stripe per arena slot once `built`.
+#[derive(Debug)]
+struct Sums<N: TrendNum> {
+    spec: AugSpec,
+    first: WindowId,
+    windows: usize,
+    /// Stripes exist and are maintained (the tree reached
+    /// [`SUMS_FROM_ENTRIES`]).
+    built: bool,
+    nums: Vec<N>,
+    exts: Vec<f64>,
+    starts: Vec<Time>,
+    /// Heap bytes held by `nums` (non-zero only for heap carriers).
+    heap: usize,
+}
+
+impl<N: TrendNum> Sums<N> {
+    fn new(spec: AugSpec, pane_start: Time, window: &WindowSpec) -> Sums<N> {
+        // Every time in a pane falls into the same windows (their bounds
+        // align with pane bounds).
+        let mut ws = windows_of(pane_start, window);
+        let first = ws.next();
+        let windows = first.map_or(0, |_| 1 + ws.count());
+        Sums {
+            spec,
+            first: first.unwrap_or(0),
+            windows,
+            built: false,
+            nums: Vec::new(),
+            exts: Vec::new(),
+            starts: Vec::new(),
+            heap: 0,
+        }
+    }
+
+    fn stride_nums(&self) -> usize {
+        self.windows * self.spec.nums()
+    }
+
+    fn stride_exts(&self) -> usize {
+        self.windows * self.spec.exts()
+    }
+
+    /// Bytes charged per entry.
+    fn entry_bytes(&self) -> usize {
+        if !self.built {
+            return 0;
+        }
+        self.stride_nums() * std::mem::size_of::<N>()
+            + self.stride_exts() * std::mem::size_of::<f64>()
+            + if self.spec.starts {
+                std::mem::size_of::<Time>()
+            } else {
+                0
+            }
+    }
+
+    /// Append one slot's stripes.
+    fn grow(&mut self) {
+        if !self.built {
+            return;
+        }
+        self.nums
+            .extend(std::iter::repeat_with(N::zero).take(self.stride_nums()));
+        self.exts
+            .extend(std::iter::repeat_n(0.0, self.stride_exts()));
+        if self.spec.starts {
+            self.starts.push(Time::ZERO);
+        }
+    }
+
+    /// Start keeping stripes, for `slots` arena slots.
+    fn build(&mut self, slots: usize) {
+        self.built = true;
+        for _ in 0..slots {
+            self.grow();
+        }
+    }
+
+    /// `x`'s aggregates for its `j`-th window.
+    fn nums_of(&self, x: u32, j: usize) -> &[N] {
+        let n = self.spec.nums();
+        let at = x as usize * self.stride_nums() + j * n;
+        &self.nums[at..at + n]
+    }
+
+    fn exts_of(&self, x: u32, j: usize) -> &[f64] {
+        let n = self.spec.exts();
+        let at = x as usize * self.stride_exts() + j * n;
+        &self.exts[at..at + n]
+    }
+
+    /// Recompute `x`'s stripes as `own + left + right`.
+    fn recompute(&mut self, x: u32, l: u32, r: u32, v: &Vertex<N>) {
+        let (sn, se) = (self.stride_nums(), self.stride_exts());
+        let (nn, ne) = (self.spec.nums(), self.spec.exts());
+        for j in 0..self.windows {
+            let own = v.pane_agg(self.first, j);
+            let mut own_nums = own.map(AggState::num_slots);
+            for k in 0..nn {
+                let o = j * nn + k;
+                let mut acc = own_nums
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .cloned()
+                    .unwrap_or_else(N::zero);
+                if l != NIL {
+                    acc.add_assign(&self.nums[l as usize * sn + o]);
+                }
+                if r != NIL {
+                    acc.add_assign(&self.nums[r as usize * sn + o]);
+                }
+                let slot = &mut self.nums[x as usize * sn + o];
+                self.heap = (self.heap + acc.heap_size()).saturating_sub(slot.heap_size());
+                *slot = acc;
+            }
+            let mut own_exts = own.map(AggState::ext_slots);
+            for k in 0..ne {
+                let o = j * ne + k;
+                let is_min = k < self.spec.mins;
+                let fold = |a: f64, b: f64| if is_min { a.min(b) } else { a.max(b) };
+                let mut acc = own_exts
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .copied()
+                    .unwrap_or(if is_min {
+                        f64::INFINITY
+                    } else {
+                        f64::NEG_INFINITY
+                    });
+                if l != NIL {
+                    acc = fold(acc, self.exts[l as usize * se + o]);
+                }
+                if r != NIL {
+                    acc = fold(acc, self.exts[r as usize * se + o]);
+                }
+                self.exts[x as usize * se + o] = acc;
+            }
+        }
+    }
+}
+
+/// Ordered index of one state's vertices within one pane: an arena treap
+/// keyed by `(sort key, seq)`.
+#[derive(Debug)]
+struct VertexTree<N: TrendNum> {
+    nodes: Vec<Node>,
+    root: u32,
+    /// Freed slots (reused by plain trees only: aggregate-indexed trees
+    /// keep arena order = arrival order).
+    free: Vec<u32>,
+    /// Aggregate-indexed trees: the last `staged` arena slots hold entries
+    /// at the newest time, not yet linked. Entries tied with a new event's
+    /// time are no predecessors of it, so they join the sums only once
+    /// time advances.
+    staged: u32,
+    /// Aggregate-indexed trees: arena slots before this one were checked
+    /// against the candidate horizon of a pane straddling it.
+    expired: u32,
+    sums: Option<Sums<N>>,
+}
+
+impl<N: TrendNum> VertexTree<N> {
+    fn new(sums: Option<Sums<N>>) -> Self {
+        VertexTree {
+            nodes: Vec::new(),
+            root: NIL,
+            free: Vec::new(),
+            staged: 0,
+            expired: 0,
+            sums,
+        }
+    }
+
+    /// Arena slots of the staged entries.
+    fn staged_slots(&self) -> std::ops::Range<u32> {
+        let len = self.nodes.len() as u32;
+        len - self.staged..len
+    }
+
+    /// Stored entries (linked and staged).
+    fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Bytes charged for the index: node plus flat aggregates per entry.
+    fn bytes(&self) -> usize {
+        let per = std::mem::size_of::<Node>() + self.sums.as_ref().map_or(0, |s| s.entry_bytes());
+        self.len() * per + self.sums.as_ref().map_or(0, |s| s.heap)
+    }
+
+    fn live(&self, x: u32) -> u32 {
+        if x == NIL {
+            0
+        } else {
+            self.nodes[x as usize].live
+        }
+    }
+
+    fn start_of(&self, x: u32) -> Time {
+        match &self.sums {
+            Some(s) if x != NIL => s.starts.get(x as usize).copied().unwrap_or(Time::ZERO),
+            _ => Time::ZERO,
+        }
+    }
+
+    /// `(key, seq)` against entry `x`.
+    fn cmp_to(&self, key: i64, seq: u64, x: u32) -> Ordering {
+        let n = &self.nodes[x as usize];
+        (key, seq).cmp(&(n.key, n.seq))
+    }
+
+    /// Heap order: higher priority nearer the root, ties broken by key.
+    fn above(&self, a: u32, b: u32) -> bool {
+        let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
+        na.prio > nb.prio
+            || (na.prio == nb.prio && self.cmp_to(na.key, na.seq, b) == Ordering::Less)
+    }
+
+    fn alloc(&mut self, key: i64, seq: u64, id: VertexId, prio: u32) -> u32 {
+        let node = Node {
+            key,
+            seq,
+            id,
+            prio,
+            left: NIL,
+            right: NIL,
+            live: 0,
+            active: true,
+        };
+        if self.sums.is_none() {
+            if let Some(x) = self.free.pop() {
+                self.nodes[x as usize] = node;
+                return x;
+            }
+        }
+        self.nodes.push(node);
+        if let Some(s) = self.sums.as_mut() {
+            s.grow();
+        }
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Recompute `x`'s augmentation from its children.
+    fn recompute(&mut self, x: u32, store: &VertexStore<N>) {
+        self.recount(x, store);
+        let n = self.nodes[x as usize];
+        if let Some(s) = self.sums.as_mut().filter(|s| s.built) {
+            s.recompute(x, n.left, n.right, store.get(n.id));
+        }
+    }
+
+    /// Recompute every linked node bottom-up (the stripes were just
+    /// built).
+    fn recompute_all(&mut self, x: u32, store: &VertexStore<N>) {
+        if x == NIL {
+            return;
+        }
+        let n = self.nodes[x as usize];
+        self.recompute_all(n.left, store);
+        self.recompute_all(n.right, store);
+        self.recompute(x, store);
+    }
+
+    /// Recompute only the active count and latest start of `x`.
+    fn recount(&mut self, x: u32, store: &VertexStore<N>) {
+        let n = self.nodes[x as usize];
+        self.nodes[x as usize].live = self.live(n.left) + self.live(n.right) + u32::from(n.active);
+        if self.sums.as_ref().is_some_and(|s| s.built && s.spec.starts) {
+            let own = if n.active {
+                store.get(n.id).latest_start
+            } else {
+                Time::ZERO
+            };
+            let start = own.max(self.start_of(n.left)).max(self.start_of(n.right));
+            if let Some(s) = self.sums.as_mut() {
+                s.starts[x as usize] = start;
+            }
+        }
+    }
+
+    /// Insert slot `n` into the subtree at `x`; returns the new subtree root.
+    fn insert_at(&mut self, x: u32, n: u32, store: &VertexStore<N>) -> u32 {
+        if x == NIL {
+            self.recompute(n, store);
+            return n;
+        }
+        let (key, seq) = (self.nodes[n as usize].key, self.nodes[n as usize].seq);
+        if self.cmp_to(key, seq, x) == Ordering::Less {
+            let l = self.insert_at(self.nodes[x as usize].left, n, store);
+            self.nodes[x as usize].left = l;
+            if self.above(l, x) {
+                self.nodes[x as usize].left = self.nodes[l as usize].right;
+                self.nodes[l as usize].right = x;
+                self.recompute(x, store);
+                self.recompute(l, store);
+                return l;
+            }
+        } else {
+            let r = self.insert_at(self.nodes[x as usize].right, n, store);
+            self.nodes[x as usize].right = r;
+            if self.above(r, x) {
+                self.nodes[x as usize].right = self.nodes[r as usize].left;
+                self.nodes[r as usize].left = x;
+                self.recompute(x, store);
+                self.recompute(r, store);
+                return r;
+            }
+        }
+        self.recompute(x, store);
+        x
+    }
+
+    /// Join two subtrees whose keys are ordered `a < b`.
+    fn join(&mut self, a: u32, b: u32, store: &VertexStore<N>) -> u32 {
+        if a == NIL {
+            return b;
+        }
+        if b == NIL {
+            return a;
+        }
+        if self.above(a, b) {
+            let r = self.join(self.nodes[a as usize].right, b, store);
+            self.nodes[a as usize].right = r;
+            self.recompute(a, store);
+            a
+        } else {
+            let l = self.join(a, self.nodes[b as usize].left, store);
+            self.nodes[b as usize].left = l;
+            self.recompute(b, store);
+            b
+        }
+    }
+
+    /// Unlink entry `(key, seq)` from the subtree at `x`; returns the new
+    /// subtree root.
+    fn remove_at(&mut self, x: u32, key: i64, seq: u64, store: &VertexStore<N>) -> u32 {
+        if x == NIL {
+            return NIL;
+        }
+        let n = self.nodes[x as usize];
+        match self.cmp_to(key, seq, x) {
+            Ordering::Less => self.nodes[x as usize].left = self.remove_at(n.left, key, seq, store),
+            Ordering::Greater => {
+                self.nodes[x as usize].right = self.remove_at(n.right, key, seq, store)
+            }
+            Ordering::Equal => return self.join(n.left, n.right, store),
+        }
+        self.recompute(x, store);
+        x
+    }
+
+    /// Clear the `active` flag of entry `(key, seq)` below `x`.
+    fn deactivate_at(&mut self, x: u32, key: i64, seq: u64, store: &VertexStore<N>) {
+        if x == NIL {
+            return;
+        }
+        match self.cmp_to(key, seq, x) {
+            Ordering::Less => self.deactivate_at(self.nodes[x as usize].left, key, seq, store),
+            Ordering::Greater => self.deactivate_at(self.nodes[x as usize].right, key, seq, store),
+            Ordering::Equal => self.nodes[x as usize].active = false,
+        }
+        self.recount(x, store);
+    }
+
+    /// Add an entry. Aggregate-indexed trees stage it until time advances
+    /// past `time` (see [`GraphStorage::settle`]); plain trees link it now.
+    fn insert(&mut self, key: i64, seq: u64, id: VertexId, time: Time, store: &VertexStore<N>) {
+        if self.sums.is_some() {
+            // Rank among staged entries with the same key (they all share
+            // `time`): distinct priorities without depending on `seq`,
+            // whose absolute value differs between shard layouts.
+            let dup = self
+                .staged_slots()
+                .filter(|&p| self.nodes[p as usize].key == key)
+                .count();
+            self.alloc(key, seq, id, priority(key, time.ticks(), dup as u64));
+            self.staged += 1;
+        } else {
+            // Plain trees hold no sums, so their shape never shows in a
+            // result; any well-spread priority will do.
+            let x = self.alloc(key, seq, id, priority(key, seq, 0));
+            self.root = self.insert_at(self.root, x, store);
+        }
+    }
+
+    /// Link every staged entry; start keeping subtree sums once the tree
+    /// is large enough.
+    fn flush(&mut self, store: &VertexStore<N>) {
+        for x in self.staged_slots() {
+            if self.nodes[x as usize].id != NIL {
+                self.root = self.insert_at(self.root, x, store);
+            }
+        }
+        self.staged = 0;
+        let slots = self.nodes.len();
+        if let Some(s) = self.sums.as_mut() {
+            if !s.built && self.nodes.len() - self.free.len() >= SUMS_FROM_ENTRIES {
+                s.build(slots);
+                self.recompute_all(self.root, store);
+            }
+        }
+    }
+
+    /// Deactivate linked entries with time before `lo`. Arena order is
+    /// arrival order in aggregate-indexed trees, and `lo` only grows, so a
+    /// cursor visits each entry once.
+    fn expire_before(&mut self, lo: Time, store: &VertexStore<N>) {
+        let linked = self.staged_slots().start;
+        while self.expired < linked {
+            let n = self.nodes[self.expired as usize];
+            if n.id != NIL {
+                if store.get(n.id).event.time >= lo {
+                    break;
+                }
+                self.deactivate_at(self.root, n.key, n.seq, store);
+            }
+            self.expired += 1;
+        }
+    }
+
+    /// Decompose the entries of the subtree at `x` inside `range` into
+    /// in-order pieces; `lo`/`hi` say which bounds still need checking.
+    /// Without `subtrees` (no sums kept) every piece is a single entry.
+    fn fold(
+        &self,
+        mut x: u32,
+        range: &KeyRange,
+        (mut lo, hi): (bool, bool),
+        subtrees: bool,
+        f: &mut impl FnMut(Piece),
+    ) {
+        // The right-hand recursion is a loop.
+        while x != NIL {
+            if !lo && !hi && subtrees {
+                return f(Piece::Subtree(x));
+            }
+            let n = &self.nodes[x as usize];
+            if lo && n.key < range.lo {
+                x = n.right;
+                continue;
+            }
+            if hi && n.key > range.hi {
+                x = n.left;
+                continue;
+            }
+            if n.left != NIL {
+                self.fold(n.left, range, (lo, false), subtrees, f);
+            }
+            f(Piece::Entry(x));
+            (x, lo) = (n.right, false);
+        }
+    }
+
+    /// Visit linked entries in `range` in key order, then staged ones.
+    fn visit(&self, range: &KeyRange, f: &mut impl FnMut(VertexId)) {
+        self.visit_at(self.root, range, range.bounds(), f);
+        for x in self.staged_slots() {
+            let n = &self.nodes[x as usize];
+            if n.id != NIL && range.contains(n.key) {
+                f(n.id);
+            }
+        }
+    }
+
+    /// [`fold`](Self::fold) without subtree pieces, handing out ids.
+    fn visit_at(
+        &self,
+        mut x: u32,
+        range: &KeyRange,
+        (mut lo, hi): (bool, bool),
+        f: &mut impl FnMut(VertexId),
+    ) {
+        while x != NIL {
+            let n = &self.nodes[x as usize];
+            if lo && n.key < range.lo {
+                x = n.right;
+                continue;
+            }
+            if hi && n.key > range.hi {
+                x = n.left;
+                continue;
+            }
+            if n.left != NIL {
+                self.visit_at(n.left, range, (lo, false), f);
+            }
+            f(n.id);
+            (x, lo) = (n.right, false);
+        }
+    }
+
+    /// Vertex ids of every stored entry.
+    fn ids(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.nodes.iter().map(|n| n.id).filter(|&id| id != NIL)
+    }
+
+    /// Remove every entry with time ≤ `cutoff`, appending its id to `out`.
+    fn purge_up_to(&mut self, cutoff: Time, store: &VertexStore<N>, out: &mut Vec<VertexId>) {
+        let staged = self.staged_slots();
+        for x in 0..self.nodes.len() as u32 {
+            let n = self.nodes[x as usize];
+            if n.id == NIL || store.get(n.id).event.time > cutoff {
+                continue;
+            }
+            if !staged.contains(&x) {
+                self.root = self.remove_at(self.root, n.key, n.seq, store);
+            }
+            out.push(n.id);
+            self.nodes[x as usize] = Node {
+                id: NIL,
+                left: NIL,
+                right: NIL,
+                live: 0,
+                active: false,
+                ..n
+            };
+            self.free.push(x);
+        }
+    }
+
+    /// Merge the entries in `range` into `acc` (the new vertex's per-window
+    /// aggregates, ascending contiguous windows) and count them.
+    fn fold_into(
+        &self,
+        range: &KeyRange,
+        store: &VertexStore<N>,
+        acc: &mut [(WindowId, AggState<N>)],
+        out: &mut FoldStats,
+        mut latest_start: Option<&mut Time>,
+    ) {
+        let Some(s) = self.sums.as_ref() else {
+            return;
+        };
+        // Windows this pane shares with the new event, as indexes into the
+        // pane's stripes (`j0..`) and into `acc` (`a0..`).
+        let acc_first = acc.first().map_or(0, |(w, _)| *w);
+        let from = s.first.max(acc_first);
+        let to = (s.first + s.windows as WindowId).min(acc_first + acc.len() as WindowId);
+        let shared = to.saturating_sub(from) as usize;
+        let (j0, a0) = ((from - s.first) as usize, (from - acc_first) as usize);
+        let mut visit = |p: Piece| match p {
+            Piece::Subtree(x) => {
+                let live = self.nodes[x as usize].live;
+                if live == 0 {
+                    return;
+                }
+                out.edges += u64::from(live);
+                for i in 0..shared {
+                    acc[a0 + i]
+                        .1
+                        .merge_slots(s.nums_of(x, j0 + i), s.exts_of(x, j0 + i));
+                }
+                out.merges += shared as u64;
+                if let Some(ls) = latest_start.as_deref_mut() {
+                    *ls = (*ls).max(self.start_of(x));
+                }
+            }
+            Piece::Entry(x) => {
+                let n = &self.nodes[x as usize];
+                if !n.active {
+                    return;
+                }
+                out.edges += 1;
+                let v = store.get(n.id);
+                for i in 0..shared {
+                    if let Some(st) = v.pane_agg(s.first, j0 + i) {
+                        acc[a0 + i].1.merge(st);
+                        out.merges += 1;
+                    }
+                }
+                if let Some(ls) = latest_start.as_deref_mut() {
+                    *ls = (*ls).max(v.latest_start);
+                }
+            }
+        };
+        self.fold(self.root, range, range.bounds(), s.built, &mut visit);
     }
 }
 
@@ -205,31 +908,22 @@ impl StateTree {
 /// vector indexed by `StateId` (template states are small dense ids), so
 /// the per-event lookup is an array index, not a hash.
 #[derive(Debug)]
-pub struct Pane {
+pub struct Pane<N: TrendNum> {
     /// Pane start time (covers `[start, start + pane_len)`).
     pub start: Time,
-    trees: Vec<StateTree>,
-    entries: usize,
+    trees: Vec<VertexTree<N>>,
 }
 
-impl Pane {
-    fn new(start: Time, n_states: usize) -> Pane {
-        Pane {
-            start,
-            trees: (0..n_states).map(|_| StateTree::default()).collect(),
-            entries: 0,
-        }
-    }
-
+impl<N: TrendNum> Pane<N> {
     /// Ids stored in this pane (all states).
     pub fn all_ids(&self) -> Vec<VertexId> {
-        let mut v: Vec<VertexId> = self
-            .trees
-            .iter()
-            .flat_map(|t| t.tree.values().copied())
-            .collect();
+        let mut v: Vec<VertexId> = self.trees.iter().flat_map(VertexTree::ids).collect();
         v.sort_unstable();
         v
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.trees.iter().map(VertexTree::bytes).sum::<usize>()
     }
 }
 
@@ -238,31 +932,54 @@ impl Pane {
 pub struct GraphStorage<N: TrendNum> {
     /// Vertex slab.
     pub store: VertexStore<N>,
-    panes: VecDeque<Pane>,
+    panes: VecDeque<Pane<N>>,
     pane_len: u64,
     /// Sort attribute per state, dense by `StateId` (from the range-form
     /// edge predicate whose previous state this is); `None` sorts by event
     /// time. Also fixes the number of per-pane trees.
     sort_attr: Vec<Option<AttrId>>,
+    /// Subtree aggregates per state (dense by `StateId`; `None` = plain
+    /// tree), with the window spec that sizes them per pane.
+    aug: Vec<Option<AugSpec>>,
+    window: WindowSpec,
+    /// Time of the staged entries of aggregate-indexed trees, if any (they
+    /// all sit in the newest pane).
+    pending_time: Option<Time>,
 }
 
 impl<N: TrendNum> GraphStorage<N> {
     /// New storage with the given pane length and per-state sort attributes
     /// (`sort_attr[state.0]`; its length is the template's state count).
+    /// Every tree is plain; see [`with_aggregates`](Self::with_aggregates).
     pub fn new(pane_len: u64, sort_attr: Vec<Option<AttrId>>) -> Self {
+        let pane_len = pane_len.max(1);
         GraphStorage {
             store: VertexStore::new(),
             panes: VecDeque::new(),
-            pane_len: pane_len.max(1),
+            pane_len,
             sort_attr,
+            aug: Vec::new(),
+            window: WindowSpec::new(pane_len, pane_len),
+            pending_time: None,
         }
     }
 
-    fn sort_key(&self, state: StateId, e: &EventRef) -> f64 {
-        match self.sort_attr.get(state.0 as usize).copied().flatten() {
-            Some(a) => e.attr(a).as_f64(),
-            None => e.time.ticks() as f64,
-        }
+    /// Keep subtree aggregates (`aug[state.0]`) in the trees of the given
+    /// states, sized by `window`'s windows per pane (whose boundaries must
+    /// align with this storage's panes).
+    pub fn with_aggregates(mut self, window: WindowSpec, aug: Vec<Option<AugSpec>>) -> Self {
+        self.window = window;
+        self.aug = aug;
+        self
+    }
+
+    fn sort_key(&self, state: StateId, e: &EventRef) -> i64 {
+        ord_key(
+            match self.sort_attr.get(state.0 as usize).copied().flatten() {
+                Some(a) => e.attr(a).as_f64(),
+                None => e.time.ticks() as f64,
+            },
+        )
     }
 
     /// Number of template states (trees per pane).
@@ -270,19 +987,51 @@ impl<N: TrendNum> GraphStorage<N> {
         self.sort_attr.len()
     }
 
+    fn new_tree(&self, state: usize, pane_start: Time) -> VertexTree<N> {
+        let sums = self
+            .aug
+            .get(state)
+            .copied()
+            .flatten()
+            .map(|spec| Sums::new(spec, pane_start, &self.window));
+        VertexTree::new(sums)
+    }
+
     /// True when range queries on `state` use the given attribute.
     pub fn indexes_attr(&self, state: StateId, attr: AttrId) -> bool {
         self.sort_attr.get(state.0 as usize).copied().flatten() == Some(attr)
     }
 
-    /// Insert a vertex; returns its id.
+    /// Insert a vertex; returns its id. Vertices arrive in time order.
     pub fn insert(&mut self, v: Vertex<N>) -> VertexId {
-        let t = v.event.time;
-        let state = v.state;
-        let key = self.sort_key(state, &v.event);
-        let seq = v.seq;
+        self.settle(v.event.time);
         let id = self.store.insert(v);
-        let ps = Time(t.ticks() / self.pane_len * self.pane_len);
+        self.index(id);
+        id
+    }
+
+    /// Insert vertices in stored order (their ids follow that order), then
+    /// index them in arrival order (time, then `seq`), which rebuilds the
+    /// index state of the run that stored them (snapshot restore).
+    pub fn restore(&mut self, vertices: Vec<Vertex<N>>) {
+        let mut ids: Vec<VertexId> = vertices.into_iter().map(|v| self.store.insert(v)).collect();
+        ids.sort_by_key(|&id| {
+            let v = self.store.get(id);
+            (v.event.time, v.seq)
+        });
+        for id in ids {
+            self.settle(self.store.get(id).event.time);
+            self.index(id);
+        }
+    }
+
+    /// Add stored vertex `id` to its pane's tree.
+    fn index(&mut self, id: VertexId) {
+        let v = self.store.get(id);
+        let (t, state, seq) = (v.event.time, v.state, v.seq);
+        let key = self.sort_key(state, &v.event);
+        let pane_len = self.pane_len;
+        let ps = Time(t.ticks() / pane_len * pane_len);
         // In-order arrival: the pane is the last one or a new one.
         let need_new = match self.panes.back() {
             Some(p) => p.start < ps,
@@ -290,21 +1039,38 @@ impl<N: TrendNum> GraphStorage<N> {
         };
         if need_new {
             let n = self.n_states().max(state.0 as usize + 1);
-            self.panes.push_back(Pane::new(ps, n));
+            let trees = (0..n).map(|s| self.new_tree(s, ps)).collect();
+            self.panes.push_back(Pane { start: ps, trees });
         }
-        let pane = self
+        let s = state.0 as usize;
+        let pi = self
             .panes
-            .iter_mut()
-            .rev()
-            .find(|p| p.start <= t && t.ticks() < p.start.ticks() + self.pane_len)
+            .iter()
+            .rposition(|p| p.start <= t && t.ticks() < p.start.ticks() + pane_len)
             .expect("pane exists for in-order insert");
-        if pane.trees.len() <= state.0 as usize {
-            pane.trees
-                .resize_with(state.0 as usize + 1, StateTree::default);
+        while self.panes[pi].trees.len() <= s {
+            let tree = self.new_tree(self.panes[pi].trees.len(), ps);
+            self.panes[pi].trees.push(tree);
         }
-        pane.trees[state.0 as usize].insert(key, seq, id);
-        pane.entries += 1;
-        id
+        let tree = &mut self.panes[pi].trees[s];
+        tree.insert(key, seq, id, t, &self.store);
+        if tree.sums.is_some() {
+            self.pending_time = Some(t);
+        }
+    }
+
+    /// Link staged entries older than `t`: called before the predecessors
+    /// of an event at `t` are looked up, and before every insert.
+    pub fn settle(&mut self, t: Time) {
+        if self.pending_time.is_none_or(|p| p >= t) {
+            return;
+        }
+        self.pending_time = None;
+        if let Some(pane) = self.panes.back_mut() {
+            for tree in &mut pane.trees {
+                tree.flush(&self.store);
+            }
+        }
     }
 
     /// Visit candidate predecessors of `state` with event time in
@@ -318,6 +1084,7 @@ impl<N: TrendNum> GraphStorage<N> {
         range: Option<(CmpOp, f64)>,
         mut f: impl FnMut(VertexId, &Vertex<N>),
     ) {
+        let range = KeyRange::of(range);
         for pane in &self.panes {
             if pane.start >= hi {
                 break;
@@ -327,7 +1094,7 @@ impl<N: TrendNum> GraphStorage<N> {
                 continue;
             }
             if let Some(tree) = pane.trees.get(state.0 as usize) {
-                tree.visit(range, &mut |id| {
+                tree.visit(&range, &mut |id| {
                     let v = self.store.get(id);
                     if v.event.time >= lo && v.event.time < hi {
                         f(id, v);
@@ -337,11 +1104,50 @@ impl<N: TrendNum> GraphStorage<N> {
         }
     }
 
+    /// Merge the aggregates of every predecessor of `state` with event time
+    /// in `[lo, hi)` and sort key in `range` into `acc` (a new vertex's
+    /// per-window aggregates at time `hi`, ascending contiguous windows),
+    /// as O(log n) subtree sums per pane, and fold their latest start into
+    /// `latest_start` if given. Needs an aggregate-indexed tree for `state`
+    /// (empty otherwise) and [`settle(hi)`](Self::settle) first.
+    ///
+    /// Each pane only contributes to the windows it shares with `acc`. The
+    /// pane straddling `lo` shares none: its entries are only counted, after
+    /// deactivating those older than `lo`.
+    pub fn fold_predecessors(
+        &mut self,
+        state: StateId,
+        lo: Time,
+        hi: Time,
+        range: Option<(CmpOp, f64)>,
+        acc: &mut [(WindowId, AggState<N>)],
+        mut latest_start: Option<&mut Time>,
+    ) -> FoldStats {
+        let range = KeyRange::of(range);
+        let mut out = FoldStats::default();
+        let store = &self.store;
+        for pane in self.panes.iter_mut() {
+            if pane.start >= hi {
+                break;
+            }
+            if pane.start.ticks() + self.pane_len <= lo.ticks() {
+                continue;
+            }
+            if let Some(tree) = pane.trees.get_mut(state.0 as usize) {
+                if pane.start < lo {
+                    tree.expire_before(lo, store);
+                }
+                tree.fold_into(&range, store, acc, &mut out, latest_start.as_deref_mut());
+            }
+        }
+        out
+    }
+
     /// Visit **all** vertices of a state (deferred final aggregation).
     pub fn visit_state(&self, state: StateId, mut f: impl FnMut(VertexId, &Vertex<N>)) {
         for pane in &self.panes {
             if let Some(tree) = pane.trees.get(state.0 as usize) {
-                tree.visit(None, &mut |id| f(id, self.store.get(id)));
+                tree.visit(&KeyRange::ALL, &mut |id| f(id, self.store.get(id)));
             }
         }
     }
@@ -368,27 +1174,19 @@ impl<N: TrendNum> GraphStorage<N> {
     /// pruning in negative graphs, Example 5 / Theorem 5.1). Returns the
     /// number purged.
     pub fn purge_vertices_up_to(&mut self, cutoff: Time) -> usize {
-        let mut purged = 0;
+        let mut doomed = Vec::new();
         for pane in &mut self.panes {
             if pane.start > cutoff {
                 break;
             }
             for tree in pane.trees.iter_mut() {
-                let doomed: Vec<((OrdF64, u64), VertexId)> = tree
-                    .tree
-                    .iter()
-                    .filter(|(_, id)| self.store.get(**id).event.time <= cutoff)
-                    .map(|(k, id)| (*k, *id))
-                    .collect();
-                for (k, id) in doomed {
-                    tree.remove(k.0 .0, k.1);
-                    self.store.remove(id);
-                    pane.entries -= 1;
-                    purged += 1;
-                }
+                tree.purge_up_to(cutoff, &self.store, &mut doomed);
             }
         }
-        purged
+        for &id in &doomed {
+            self.store.remove(id);
+        }
+        doomed.len()
     }
 
     /// Number of live vertices.
@@ -401,16 +1199,14 @@ impl<N: TrendNum> GraphStorage<N> {
         self.store.is_empty()
     }
 
-    /// Approximate bytes of live state (vertices + index entries).
+    /// Approximate bytes of live state: vertices, plus each index entry's
+    /// node and flat subtree aggregates, plus pane headers.
     pub fn bytes(&self) -> usize {
-        let entries: usize = self.panes.iter().map(|p| p.entries).sum();
-        self.store.bytes()
-            + entries * TREE_ENTRY_BYTES
-            + std::mem::size_of::<Pane>() * self.panes.len()
+        self.store.bytes() + self.panes.iter().map(Pane::bytes).sum::<usize>()
     }
 
     /// Pane iterator (tests / diagnostics).
-    pub fn panes(&self) -> impl Iterator<Item = &Pane> {
+    pub fn panes(&self) -> impl Iterator<Item = &Pane<N>> {
         self.panes.iter()
     }
 }
@@ -600,6 +1396,178 @@ mod tests {
                 expect.sort_unstable();
                 prop_assert_eq!(remaining, expect);
             }
+        }
+    }
+
+    mod aggregate_index {
+        use super::*;
+        use crate::window::windows_of;
+        use proptest::prelude::*;
+
+        /// A vertex at `t` whose per-window count is `count`.
+        fn counted(
+            t: u64,
+            attr: f64,
+            seq: u64,
+            count: f64,
+            start: u64,
+            w: &WindowSpec,
+        ) -> Vertex<f64> {
+            let layout = AggLayout::default();
+            let aggs = windows_of(Time(t), w)
+                .map(|wid| {
+                    let mut st = AggState::zero(&layout);
+                    st.count = count;
+                    (wid, st)
+                })
+                .collect();
+            Vertex {
+                event: Event::new_unchecked(TypeId(0), Time(t), vec![Value::Float(attr)])
+                    .into_ref(),
+                state: StateId(0),
+                seq,
+                latest_start: Time(start),
+                aggs,
+            }
+        }
+
+        fn indexed(w: WindowSpec) -> GraphStorage<f64> {
+            let spec = AugSpec::new(&AggLayout::default(), true);
+            GraphStorage::new(crate::window::pane_length(&w), vec![Some(AttrId(0))])
+                .with_aggregates(w, vec![Some(spec)])
+        }
+
+        /// What the scan would merge and count for a new event at `t`.
+        fn naive(
+            s: &GraphStorage<f64>,
+            t: u64,
+            w: &WindowSpec,
+            range: Option<(CmpOp, f64)>,
+        ) -> (Vec<(WindowId, f64)>, u64, Time) {
+            let lo = Time(t.saturating_sub(w.within - 1));
+            let mut acc: Vec<(WindowId, f64)> = windows_of(Time(t), w).map(|x| (x, 0.0)).collect();
+            let (mut edges, mut start) = (0, Time::ZERO);
+            s.visit_candidates(StateId(0), lo, Time(t), range, |_, v| {
+                edges += 1;
+                start = start.max(v.latest_start);
+                for (wid, c) in acc.iter_mut() {
+                    if let Some(st) = v.agg(*wid) {
+                        *c += st.count;
+                    }
+                }
+            });
+            (acc, edges, start)
+        }
+
+        proptest! {
+            /// Subtree sums equal the per-predecessor merge, edge count and
+            /// latest start of the scan, for events arriving one by one with
+            /// nothing purged (so panes straddling the horizon stay and are
+            /// counted only), ties included.
+            #[test]
+            fn fold_matches_scan(
+                steps in proptest::collection::vec((0u64..3, -4i32..4, 1u32..9), 1..60),
+                within in 1u64..12,
+                slide in 1u64..8,
+                op_idx in 0usize..6,
+            ) {
+                let w = WindowSpec::new(within, slide);
+                let mut s = indexed(w);
+                let ops = [None, Some(CmpOp::Lt), Some(CmpOp::Le), Some(CmpOp::Gt), Some(CmpOp::Ge), Some(CmpOp::Eq)];
+                let mut t = 0u64;
+                for (seq, (dt, attr, count)) in steps.iter().enumerate() {
+                    t += dt;
+                    let range = ops[op_idx].map(|op| (op, *attr as f64));
+                    let (want, want_edges, want_start) = naive(&s, t, &w, range);
+                    s.settle(Time(t));
+                    let mut acc: Vec<(WindowId, AggState<f64>)> = windows_of(Time(t), &w)
+                        .map(|x| (x, AggState::zero(&AggLayout::default())))
+                        .collect();
+                    let mut start = Time::ZERO;
+                    let lo = Time(t.saturating_sub(within - 1));
+                    let f = s.fold_predecessors(StateId(0), lo, Time(t), range, &mut acc, Some(&mut start));
+                    let got: Vec<(WindowId, f64)> = acc.iter().map(|(x, st)| (*x, st.count)).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(f.edges, want_edges);
+                    prop_assert_eq!(start, want_start);
+                    let start_of = t.saturating_sub(*count as u64);
+                    s.insert(counted(t, *attr as f64, seq as u64, *count as f64, start_of, &w));
+                }
+            }
+
+            /// The tree shape, so the f64 summation order, depends on the
+            /// entries only: linking them in any order gives the same root
+            /// sum, bit for bit.
+            #[test]
+            fn sums_do_not_depend_on_insertion_order(
+                raw_keys in proptest::collection::vec(-1000i32..1000, SUMS_FROM_ENTRIES..80),
+                rotate in 0usize..80,
+            ) {
+                // Distinct keys, so entries never share a priority rank.
+                let keys: Vec<i64> = raw_keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| i64::from(*k) * 100 + i as i64)
+                    .collect();
+                let w = WindowSpec::new(1000, 1000);
+                let mut store = VertexStore::<f64>::new();
+                let entries: Vec<(i64, u64, VertexId)> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, k)| {
+                        // Counts spanning many binades make f64 sums
+                        // order-sensitive.
+                        let c = 1.0 + (seq as f64) * 1e15 + 0.1 * seq as f64;
+                        let v = counted(1, *k as f64, seq as u64, c, 0, &w);
+                        (ord_key(*k as f64), seq as u64, store.insert(v))
+                    })
+                    .collect();
+                let spec = AugSpec::new(&AggLayout::default(), false);
+                let build = |order: &[(i64, u64, VertexId)]| {
+                    let mut tree = VertexTree::new(Some(Sums::new(spec, Time(0), &w)));
+                    for &(k, seq, id) in order {
+                        tree.insert(k, seq, id, Time(1), &store);
+                    }
+                    tree.flush(&store);
+                    let root = tree.root;
+                    let sum = tree.sums.as_ref().unwrap().nums_of(root, 0)[0];
+                    (tree.nodes[root as usize].id, sum.to_bits())
+                };
+                let mut rotated = entries.clone();
+                rotated.rotate_left(rotate % entries.len());
+                rotated.reverse();
+                prop_assert_eq!(build(&entries), build(&rotated));
+            }
+        }
+
+        /// Insert an entry at `t`; returns the vertex bytes it charges.
+        fn add(s: &mut GraphStorage<f64>, seq: u64, t: u64, w: &WindowSpec) -> usize {
+            let v = counted(t, seq as f64, seq, 1.0, t, w);
+            let charge = v.heap_size();
+            s.insert(v);
+            charge
+        }
+
+        #[test]
+        fn entry_bytes_include_node_and_flat_sums() {
+            let w = WindowSpec::new(8, 4); // panes of 4, 2 windows each
+            let mut s = indexed(w);
+            let (node, pane) = (
+                std::mem::size_of::<Node>(),
+                std::mem::size_of::<Pane<f64>>(),
+            );
+            let n = SUMS_FROM_ENTRIES;
+            // Below the threshold an entry costs its node only.
+            let mut vertices = 0;
+            for seq in 0..n as u64 {
+                vertices += add(&mut s, seq, 8, &w);
+            }
+            assert_eq!(s.bytes(), vertices + pane + n * node);
+            // Time advances, the tied entries are linked, the tree reaches
+            // the threshold and keeps sums: every entry now also carries
+            // 2 windows × 1 slot plus its latest start.
+            vertices += add(&mut s, n as u64, 9, &w);
+            assert_eq!(s.bytes(), vertices + pane + (n + 1) * (node + 2 * 8 + 8));
         }
     }
 

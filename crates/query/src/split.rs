@@ -13,7 +13,8 @@
 //! `(SEQ(A+, B))+`, negative `SEQ(C, D)` hanging off it, and negative `E`
 //! hanging off `SEQ(C, D)`), so the result is a tree of split patterns.
 //!
-//! Deviation from the paper noted in DESIGN.md: consecutive negatives
+//! Deviation from the paper (ARCHITECTURE.md, "Deviations from the
+//! paper"): consecutive negatives
 //! `SEQ(P, NOT N1, NOT N2, Q)` are treated as two *independent* constraints
 //! at the same gap rather than merged into `NOT SEQ(N1, N2)`.
 

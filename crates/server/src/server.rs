@@ -17,7 +17,7 @@
 
 use crate::metrics::{self, ServerMetrics, SessionMetrics};
 use crate::protocol::{self, ProtoError, Request, Response, SessionOptions};
-use crate::session::{spawn_session, SessionCmd, SessionHandle, SubMsg};
+use crate::session::{spawn_session, RowFeed, SessionCmd, SessionHandle, SubMsg};
 use crate::{http, jsonl};
 use crossbeam::channel::bounded;
 use greta_query::compile::CompiledQuery;
@@ -135,9 +135,9 @@ impl Shared {
                     reply: reply_tx,
                 })
                 .map_err(|_| format!("session {sid} is gone"))?;
-            let q = reply_rx
-                .recv()
-                .map_err(|_| format!("session {sid} died during register"))??;
+            let q = h
+                .await_reply(&reply_rx)
+                .ok_or_else(|| format!("session {sid} died during register"))??;
             return Ok((sid, q));
         }
         let compiled =
@@ -169,9 +169,8 @@ impl Shared {
                 reply: reply_tx,
             })
             .map_err(|_| format!("session {id} is gone"))?;
-        reply_rx
-            .recv()
-            .map_err(|_| format!("session {id} died during detach"))?
+        h.await_reply(&reply_rx)
+            .ok_or_else(|| format!("session {id} died during detach"))?
     }
 
     /// Check a session id exists (the `Attach` frame).
@@ -199,20 +198,15 @@ impl Shared {
                 reply: reply_tx,
             })
             .map_err(|_| format!("session {id} is gone"))?;
-        reply_rx
-            .recv()
-            .map_err(|_| format!("session {id} died during ingest"))?
+        h.await_reply(&reply_rx)
+            .ok_or_else(|| format!("session {id} died during ingest"))?
     }
 
     /// Register a subscriber channel on one query of a session. Returns
     /// `None` when the session already drained (the caller should send
     /// `End`). An unknown query id yields a live channel that receives
     /// an immediate `End` from the session thread.
-    pub(crate) fn subscribe(
-        &self,
-        id: u64,
-        query: u32,
-    ) -> Result<Option<crossbeam::channel::Receiver<SubMsg>>, String> {
+    pub(crate) fn subscribe(&self, id: u64, query: u32) -> Result<Option<RowFeed>, String> {
         let h = self.session(id)?;
         let (tx, rx) = SessionHandle::subscriber_channel();
         if h.drained.load(Ordering::SeqCst)
@@ -220,7 +214,7 @@ impl Shared {
         {
             return Ok(None);
         }
-        Ok(Some(rx))
+        Ok(Some(RowFeed::new(rx, h)))
     }
 
     /// Drain one session (idempotent), then retire it to the bounded
@@ -537,8 +531,8 @@ fn serve_subscription(
     session: u64,
     query: u32,
 ) -> bool {
-    let rx = match shared.subscribe(session, query) {
-        Ok(Some(rx)) => rx,
+    let feed = match shared.subscribe(session, query) {
+        Ok(Some(feed)) => feed,
         Ok(None) => {
             // Already drained: nothing more will ever arrive.
             return protocol::write_response(stream, &Response::End { session, query }).is_ok();
@@ -546,8 +540,8 @@ fn serve_subscription(
         Err(msg) => return protocol::write_response(stream, &Response::Error { msg }).is_ok(),
     };
     loop {
-        match rx.recv() {
-            Ok(SubMsg::Rows(rows)) => {
+        match feed.next() {
+            Some(SubMsg::Rows(rows)) => {
                 if protocol::write_response(
                     stream,
                     &Response::Rows {
@@ -561,7 +555,7 @@ fn serve_subscription(
                     return false;
                 }
             }
-            Ok(SubMsg::End) | Err(_) => {
+            Some(SubMsg::End) | None => {
                 return protocol::write_response(stream, &Response::End { session, query }).is_ok();
             }
         }

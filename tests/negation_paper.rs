@@ -1,4 +1,5 @@
-//! Integration tests for nested negation (experiment E3 of DESIGN.md):
+//! Integration tests for nested negation (ARCHITECTURE.md, "Deviations
+//! from the paper", lists the deliberate differences):
 //! the scenarios of Figs. 6(d), 7, 8 and Examples 2–5, cross-validated
 //! against the enumeration oracle and all two-step baselines.
 

@@ -1,5 +1,6 @@
 //! Integration tests reproducing the paper's worked examples exactly
-//! (experiments E1, E2, E5 of DESIGN.md):
+//! (ARCHITECTURE.md, "Deviations from the paper", maps the paper to the
+//! tests):
 //!
 //! * Example 1 / Fig. 12 — all six aggregates of `(SEQ(A+, B))+`;
 //! * Fig. 6(a–c) — graph shapes and counts for `A+`, `SEQ(A+, B)`,

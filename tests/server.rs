@@ -896,3 +896,38 @@ fn drain_is_idempotent_and_refuses_post_drain_ingest() {
     assert!(sub.collect_rows().unwrap().is_empty());
     server.shutdown().unwrap();
 }
+
+#[test]
+fn subscribe_racing_a_drain_always_gets_end() {
+    // A Subscribe queued behind a Drain used to wait forever: the session
+    // thread exited without reading it, and the queued command kept the
+    // subscriber's channel open. Whichever command wins the race, the
+    // subscriber must now see a clean end of stream within a deadline.
+    let (reg, events) = stock(500);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    for i in 0..40u64 {
+        let mut client = Client::connect(addr).unwrap();
+        let session = client.submit(Q1, &reg, SessionOptions::default()).unwrap();
+        client.ingest(session, events.clone()).unwrap();
+        let drainer = std::thread::spawn(move || client.drain(session));
+        // Stagger the subscriber around the drain: before, during, after.
+        std::thread::sleep(Duration::from_micros(i % 8 * 250));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let subscriber = std::thread::spawn(move || {
+            let rows = Client::connect(addr)
+                .and_then(|c| c.subscribe(session))
+                .and_then(|s| s.collect_rows());
+            let _ = done_tx.send(rows.map(|r| r.len()));
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(rows) => {
+                rows.unwrap();
+            }
+            Err(_) => panic!("iteration {i}: a subscriber racing the drain never got End"),
+        }
+        drainer.join().unwrap().unwrap();
+        subscriber.join().unwrap();
+    }
+    server.shutdown().unwrap();
+}

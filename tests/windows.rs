@@ -1,4 +1,5 @@
-//! Sliding-window integration tests (experiment E4 of DESIGN.md):
+//! Sliding-window integration tests (ARCHITECTURE.md, "Deviations from
+//! the paper", maps the paper to the tests):
 //! Fig. 9's shared sub-graphs between overlapping windows, window close
 //! and pane purge behaviour, and the edge-predicate example of Fig. 10 —
 //! all cross-validated against the enumeration oracle.

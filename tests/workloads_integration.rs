@@ -1,5 +1,6 @@
 //! End-to-end runs of the three paper queries (Q1/Q2/Q3, §1) on their
-//! respective generated workloads (experiments E7/E13 of DESIGN.md), plus
+//! respective generated workloads (see ARCHITECTURE.md, "Deviations from
+//! the paper", for where each part of the paper is checked), plus
 //! distribution sanity checks at the integration level.
 
 use greta::core::{GretaEngine, MemoryFootprint};
