@@ -178,12 +178,7 @@ impl<N: TrendNum> AltRuntime<N> {
                             _ => false,
                         };
                     if aggregate {
-                        // Vertices of a non-START state inherit their
-                        // predecessors' latest start: keep it per subtree.
-                        let starts = !spec.template.is_start(*sid);
-                        let slot = &mut aug[p_state.0 as usize];
-                        let prev = slot.is_some_and(|a: AugSpec| a.starts);
-                        *slot = Some(AugSpec::new(ctx.layout, starts || prev));
+                        aug[p_state.0 as usize] = Some(AugSpec::new(ctx.layout));
                     }
                     preds.push(PredOps {
                         p_state,
@@ -323,15 +318,12 @@ impl<N: TrendNum> AltRuntime<N> {
                 let range = range_idx.map(|i| eps[i].range.as_ref().unwrap().bound(e));
 
                 if po.aggregate {
-                    // A START vertex's latest start is its own time.
-                    let f = self.graphs[gi].storage.fold_predecessors(
-                        p_state,
-                        lo,
-                        e.time,
-                        range,
-                        &mut aggs,
-                        (!is_start).then_some(&mut latest_start),
-                    );
+                    // `latest_start` is left alone: it is only read for
+                    // negation, and an alternative with negation has no
+                    // aggregate-indexed edges.
+                    let f = self.graphs[gi]
+                        .storage
+                        .fold_predecessors(p_state, lo, e.time, range, &mut aggs);
                     edges += f.edges;
                     self.merges += f.merges;
                     continue;

@@ -12,13 +12,13 @@
 //!   answered with range queries.
 //!
 //! A Vertex Tree is an arena treap. For *aggregate-indexed* states (see
-//! [`AugSpec`]) every node also carries its subtree's entry count, the
-//! summed per-window aggregates of the pane, and optionally the latest
-//! trend start, so a range of predecessors is merged as O(log n) subtree
-//! sums instead of one merge per predecessor
+//! [`AugSpec`]) every node also carries its subtree's entry count and the
+//! summed per-window aggregates of the pane, so a range of predecessors
+//! is merged as O(log n) subtree sums instead of one merge per
+//! predecessor
 //! ([`GraphStorage::fold_predecessors`]). Sums are always recomputed as
-//! `own + left + right` over a tree whose shape depends only on the live
-//! entries (priorities hash the key, the event time and the rank among
+//! `own + left + right` (lazily, when a fold needs them) over a tree whose
+//! shape depends only on the live entries (priorities hash the key, the event time and the rank among
 //! equal `(key, time)` entries), so floating-point results do not depend
 //! on insertion history.
 //!
@@ -50,6 +50,9 @@ pub struct Vertex<N: TrendNum> {
     pub seq: u64,
     /// Latest start time over all (sub-)trends ending at this vertex —
     /// propagated like an aggregate; drives Definition 5 invalidation.
+    /// Edges answered by the predecessor aggregate index do not propagate
+    /// it: they exist only in alternatives without negation, where nothing
+    /// reads it.
     pub latest_start: Time,
     /// Per-window aggregates, sorted by window id.
     pub aggs: Vec<(WindowId, AggState<N>)>,
@@ -165,28 +168,23 @@ impl<N: TrendNum> VertexStore<N> {
 
 /// The subtree aggregates an aggregate-indexed state's trees keep per
 /// node: the [`AggState`] slots of the query's layout, per window of the
-/// pane, and optionally the latest trend start.
+/// pane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AugSpec {
     counts: usize,
     sums: usize,
     mins: usize,
     maxs: usize,
-    pub(crate) starts: bool,
 }
 
 impl AugSpec {
-    /// Slots for `layout`; `starts` keeps the maximum `latest_start` per
-    /// subtree (needed when an aggregate-indexed edge leads to a state that
-    /// is not a START state, whose vertices inherit their predecessors'
-    /// latest start).
-    pub fn new(layout: &AggLayout, starts: bool) -> AugSpec {
+    /// Slots for `layout`.
+    pub fn new(layout: &AggLayout) -> AugSpec {
         AugSpec {
             counts: layout.count_targets.len(),
             sums: layout.sum_targets.len(),
             mins: layout.min_targets.len(),
             maxs: layout.max_targets.len(),
-            starts,
         }
     }
 
@@ -288,11 +286,11 @@ struct Node {
     prio: u32,
     left: u32,
     right: u32,
-    /// Active entries in this subtree.
-    live: u32,
-    /// Cleared once the entry's time fell below the candidate horizon of a
-    /// pane straddling it (the entry then no longer counts as an edge).
-    active: bool,
+    /// Entries in this subtree.
+    size: u32,
+    /// The subtree changed since its sums were last recomputed (see
+    /// [`VertexTree::clean`]).
+    stale: bool,
 }
 
 fn mix(mut z: u64) -> u64 {
@@ -309,7 +307,7 @@ fn priority(key: i64, a: u64, b: u64) -> u32 {
 }
 
 /// One piece of a range decomposition.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Piece {
     /// A whole subtree inside the range.
     Subtree(u32),
@@ -317,27 +315,17 @@ enum Piece {
     Entry(u32),
 }
 
-/// Linked entries from which an aggregate-indexed tree keeps subtree sums.
-/// A smaller tree is folded entry by entry, in key order: below this size
-/// a walk merges about as much as the subtree pieces would, and keeping
-/// the sums on insert costs more than it saves. The size is a function of
-/// the entries, so either way the summation order is too.
-const SUMS_FROM_ENTRIES: usize = 16;
-
 /// Flat subtree aggregates of an aggregate-indexed tree, `windows` windows
-/// starting at `first`, one fixed-size stripe per arena slot once `built`.
+/// starting at `first`, one fixed-size stripe per arena slot.
 #[derive(Debug)]
 struct Sums<N: TrendNum> {
     spec: AugSpec,
     first: WindowId,
     windows: usize,
-    /// Stripes exist and are maintained (the tree reached
-    /// [`SUMS_FROM_ENTRIES`]).
-    built: bool,
     nums: Vec<N>,
     exts: Vec<f64>,
-    starts: Vec<Time>,
-    /// Heap bytes held by `nums` (non-zero only for heap carriers).
+    /// Heap bytes held by `nums` (non-zero only for heap carriers), as of
+    /// the last recompute of each slot.
     heap: usize,
 }
 
@@ -352,10 +340,8 @@ impl<N: TrendNum> Sums<N> {
             spec,
             first: first.unwrap_or(0),
             windows,
-            built: false,
             nums: Vec::new(),
             exts: Vec::new(),
-            starts: Vec::new(),
             heap: 0,
         }
     }
@@ -370,38 +356,16 @@ impl<N: TrendNum> Sums<N> {
 
     /// Bytes charged per entry.
     fn entry_bytes(&self) -> usize {
-        if !self.built {
-            return 0;
-        }
         self.stride_nums() * std::mem::size_of::<N>()
             + self.stride_exts() * std::mem::size_of::<f64>()
-            + if self.spec.starts {
-                std::mem::size_of::<Time>()
-            } else {
-                0
-            }
     }
 
     /// Append one slot's stripes.
     fn grow(&mut self) {
-        if !self.built {
-            return;
-        }
         self.nums
             .extend(std::iter::repeat_with(N::zero).take(self.stride_nums()));
         self.exts
             .extend(std::iter::repeat_n(0.0, self.stride_exts()));
-        if self.spec.starts {
-            self.starts.push(Time::ZERO);
-        }
-    }
-
-    /// Start keeping stripes, for `slots` arena slots.
-    fn build(&mut self, slots: usize) {
-        self.built = true;
-        for _ in 0..slots {
-            self.grow();
-        }
     }
 
     /// `x`'s aggregates for its `j`-th window.
@@ -474,16 +438,13 @@ struct VertexTree<N: TrendNum> {
     nodes: Vec<Node>,
     root: u32,
     /// Freed slots (reused by plain trees only: aggregate-indexed trees
-    /// keep arena order = arrival order).
+    /// append, so their staged entries are the last arena slots).
     free: Vec<u32>,
     /// Aggregate-indexed trees: the last `staged` arena slots hold entries
     /// at the newest time, not yet linked. Entries tied with a new event's
     /// time are no predecessors of it, so they join the sums only once
     /// time advances.
     staged: u32,
-    /// Aggregate-indexed trees: arena slots before this one were checked
-    /// against the candidate horizon of a pane straddling it.
-    expired: u32,
     sums: Option<Sums<N>>,
 }
 
@@ -494,7 +455,6 @@ impl<N: TrendNum> VertexTree<N> {
             root: NIL,
             free: Vec::new(),
             staged: 0,
-            expired: 0,
             sums,
         }
     }
@@ -512,22 +472,15 @@ impl<N: TrendNum> VertexTree<N> {
 
     /// Bytes charged for the index: node plus flat aggregates per entry.
     fn bytes(&self) -> usize {
-        let per = std::mem::size_of::<Node>() + self.sums.as_ref().map_or(0, |s| s.entry_bytes());
+        let per = std::mem::size_of::<Node>() + self.sums.as_ref().map_or(0, Sums::entry_bytes);
         self.len() * per + self.sums.as_ref().map_or(0, |s| s.heap)
     }
 
-    fn live(&self, x: u32) -> u32 {
+    fn size(&self, x: u32) -> u32 {
         if x == NIL {
             0
         } else {
-            self.nodes[x as usize].live
-        }
-    }
-
-    fn start_of(&self, x: u32) -> Time {
-        match &self.sums {
-            Some(s) if x != NIL => s.starts.get(x as usize).copied().unwrap_or(Time::ZERO),
-            _ => Time::ZERO,
+            self.nodes[x as usize].size
         }
     }
 
@@ -552,8 +505,8 @@ impl<N: TrendNum> VertexTree<N> {
             prio,
             left: NIL,
             right: NIL,
-            live: 0,
-            active: true,
+            size: 0,
+            stale: true,
         };
         if self.sums.is_none() {
             if let Some(x) = self.free.pop() {
@@ -568,78 +521,65 @@ impl<N: TrendNum> VertexTree<N> {
         (self.nodes.len() - 1) as u32
     }
 
-    /// Recompute `x`'s augmentation from its children.
-    fn recompute(&mut self, x: u32, store: &VertexStore<N>) {
-        self.recount(x, store);
+    /// Recompute `x`'s entry count from its children and mark its sums
+    /// stale. Sums are recomputed lazily, when a fold needs them.
+    fn touch(&mut self, x: u32) {
         let n = self.nodes[x as usize];
-        if let Some(s) = self.sums.as_mut().filter(|s| s.built) {
-            s.recompute(x, n.left, n.right, store.get(n.id));
-        }
+        let size = self.size(n.left) + self.size(n.right) + 1;
+        let node = &mut self.nodes[x as usize];
+        (node.size, node.stale) = (size, true);
     }
 
-    /// Recompute every linked node bottom-up (the stripes were just
-    /// built).
-    fn recompute_all(&mut self, x: u32, store: &VertexStore<N>) {
-        if x == NIL {
+    /// Recompute the stale sums in the subtree at `x`, bottom-up, each as
+    /// `own + left + right`. Every ancestor of a stale node is stale, so
+    /// only stale nodes are visited.
+    fn clean(&mut self, x: u32, store: &VertexStore<N>) {
+        if x == NIL || !self.nodes[x as usize].stale {
             return;
         }
         let n = self.nodes[x as usize];
-        self.recompute_all(n.left, store);
-        self.recompute_all(n.right, store);
-        self.recompute(x, store);
-    }
-
-    /// Recompute only the active count and latest start of `x`.
-    fn recount(&mut self, x: u32, store: &VertexStore<N>) {
-        let n = self.nodes[x as usize];
-        self.nodes[x as usize].live = self.live(n.left) + self.live(n.right) + u32::from(n.active);
-        if self.sums.as_ref().is_some_and(|s| s.built && s.spec.starts) {
-            let own = if n.active {
-                store.get(n.id).latest_start
-            } else {
-                Time::ZERO
-            };
-            let start = own.max(self.start_of(n.left)).max(self.start_of(n.right));
-            if let Some(s) = self.sums.as_mut() {
-                s.starts[x as usize] = start;
-            }
+        self.clean(n.left, store);
+        self.clean(n.right, store);
+        if let Some(s) = self.sums.as_mut() {
+            s.recompute(x, n.left, n.right, store.get(n.id));
         }
+        self.nodes[x as usize].stale = false;
     }
 
     /// Insert slot `n` into the subtree at `x`; returns the new subtree root.
-    fn insert_at(&mut self, x: u32, n: u32, store: &VertexStore<N>) -> u32 {
+    fn insert_at(&mut self, x: u32, n: u32) -> u32 {
         if x == NIL {
-            self.recompute(n, store);
+            self.touch(n);
             return n;
         }
         let (key, seq) = (self.nodes[n as usize].key, self.nodes[n as usize].seq);
         if self.cmp_to(key, seq, x) == Ordering::Less {
-            let l = self.insert_at(self.nodes[x as usize].left, n, store);
+            let l = self.insert_at(self.nodes[x as usize].left, n);
             self.nodes[x as usize].left = l;
             if self.above(l, x) {
                 self.nodes[x as usize].left = self.nodes[l as usize].right;
                 self.nodes[l as usize].right = x;
-                self.recompute(x, store);
-                self.recompute(l, store);
+                self.touch(x);
+                self.touch(l);
                 return l;
             }
         } else {
-            let r = self.insert_at(self.nodes[x as usize].right, n, store);
+            let r = self.insert_at(self.nodes[x as usize].right, n);
             self.nodes[x as usize].right = r;
             if self.above(r, x) {
                 self.nodes[x as usize].right = self.nodes[r as usize].left;
                 self.nodes[r as usize].left = x;
-                self.recompute(x, store);
-                self.recompute(r, store);
+                self.touch(x);
+                self.touch(r);
                 return r;
             }
         }
-        self.recompute(x, store);
+        self.touch(x);
         x
     }
 
     /// Join two subtrees whose keys are ordered `a < b`.
-    fn join(&mut self, a: u32, b: u32, store: &VertexStore<N>) -> u32 {
+    fn join(&mut self, a: u32, b: u32) -> u32 {
         if a == NIL {
             return b;
         }
@@ -647,52 +587,37 @@ impl<N: TrendNum> VertexTree<N> {
             return a;
         }
         if self.above(a, b) {
-            let r = self.join(self.nodes[a as usize].right, b, store);
+            let r = self.join(self.nodes[a as usize].right, b);
             self.nodes[a as usize].right = r;
-            self.recompute(a, store);
+            self.touch(a);
             a
         } else {
-            let l = self.join(a, self.nodes[b as usize].left, store);
+            let l = self.join(a, self.nodes[b as usize].left);
             self.nodes[b as usize].left = l;
-            self.recompute(b, store);
+            self.touch(b);
             b
         }
     }
 
     /// Unlink entry `(key, seq)` from the subtree at `x`; returns the new
     /// subtree root.
-    fn remove_at(&mut self, x: u32, key: i64, seq: u64, store: &VertexStore<N>) -> u32 {
+    fn remove_at(&mut self, x: u32, key: i64, seq: u64) -> u32 {
         if x == NIL {
             return NIL;
         }
         let n = self.nodes[x as usize];
         match self.cmp_to(key, seq, x) {
-            Ordering::Less => self.nodes[x as usize].left = self.remove_at(n.left, key, seq, store),
-            Ordering::Greater => {
-                self.nodes[x as usize].right = self.remove_at(n.right, key, seq, store)
-            }
-            Ordering::Equal => return self.join(n.left, n.right, store),
+            Ordering::Less => self.nodes[x as usize].left = self.remove_at(n.left, key, seq),
+            Ordering::Greater => self.nodes[x as usize].right = self.remove_at(n.right, key, seq),
+            Ordering::Equal => return self.join(n.left, n.right),
         }
-        self.recompute(x, store);
+        self.touch(x);
         x
-    }
-
-    /// Clear the `active` flag of entry `(key, seq)` below `x`.
-    fn deactivate_at(&mut self, x: u32, key: i64, seq: u64, store: &VertexStore<N>) {
-        if x == NIL {
-            return;
-        }
-        match self.cmp_to(key, seq, x) {
-            Ordering::Less => self.deactivate_at(self.nodes[x as usize].left, key, seq, store),
-            Ordering::Greater => self.deactivate_at(self.nodes[x as usize].right, key, seq, store),
-            Ordering::Equal => self.nodes[x as usize].active = false,
-        }
-        self.recount(x, store);
     }
 
     /// Add an entry. Aggregate-indexed trees stage it until time advances
     /// past `time` (see [`GraphStorage::settle`]); plain trees link it now.
-    fn insert(&mut self, key: i64, seq: u64, id: VertexId, time: Time, store: &VertexStore<N>) {
+    fn insert(&mut self, key: i64, seq: u64, id: VertexId, time: Time) {
         if self.sums.is_some() {
             // Rank among staged entries with the same key (they all share
             // `time`): distinct priorities without depending on `seq`,
@@ -707,48 +632,23 @@ impl<N: TrendNum> VertexTree<N> {
             // Plain trees hold no sums, so their shape never shows in a
             // result; any well-spread priority will do.
             let x = self.alloc(key, seq, id, priority(key, seq, 0));
-            self.root = self.insert_at(self.root, x, store);
+            self.root = self.insert_at(self.root, x);
         }
     }
 
-    /// Link every staged entry; start keeping subtree sums once the tree
-    /// is large enough.
-    fn flush(&mut self, store: &VertexStore<N>) {
+    /// Link every staged entry.
+    fn flush(&mut self) {
         for x in self.staged_slots() {
             if self.nodes[x as usize].id != NIL {
-                self.root = self.insert_at(self.root, x, store);
+                self.root = self.insert_at(self.root, x);
             }
         }
         self.staged = 0;
-        let slots = self.nodes.len();
-        if let Some(s) = self.sums.as_mut() {
-            if !s.built && self.nodes.len() - self.free.len() >= SUMS_FROM_ENTRIES {
-                s.build(slots);
-                self.recompute_all(self.root, store);
-            }
-        }
     }
 
-    /// Deactivate linked entries with time before `lo`. Arena order is
-    /// arrival order in aggregate-indexed trees, and `lo` only grows, so a
-    /// cursor visits each entry once.
-    fn expire_before(&mut self, lo: Time, store: &VertexStore<N>) {
-        let linked = self.staged_slots().start;
-        while self.expired < linked {
-            let n = self.nodes[self.expired as usize];
-            if n.id != NIL {
-                if store.get(n.id).event.time >= lo {
-                    break;
-                }
-                self.deactivate_at(self.root, n.key, n.seq, store);
-            }
-            self.expired += 1;
-        }
-    }
-
-    /// Decompose the entries of the subtree at `x` inside `range` into
-    /// in-order pieces; `lo`/`hi` say which bounds still need checking.
-    /// Without `subtrees` (no sums kept) every piece is a single entry.
+    /// Decompose the linked entries of the subtree at `x` inside `range`
+    /// into in-order pieces; `lo`/`hi` say which bounds still need
+    /// checking. Without `subtrees` every piece is a single entry.
     fn fold(
         &self,
         mut x: u32,
@@ -781,38 +681,16 @@ impl<N: TrendNum> VertexTree<N> {
 
     /// Visit linked entries in `range` in key order, then staged ones.
     fn visit(&self, range: &KeyRange, f: &mut impl FnMut(VertexId)) {
-        self.visit_at(self.root, range, range.bounds(), f);
+        self.fold(self.root, range, range.bounds(), false, &mut |p| {
+            if let Piece::Entry(x) = p {
+                f(self.nodes[x as usize].id);
+            }
+        });
         for x in self.staged_slots() {
             let n = &self.nodes[x as usize];
             if n.id != NIL && range.contains(n.key) {
                 f(n.id);
             }
-        }
-    }
-
-    /// [`fold`](Self::fold) without subtree pieces, handing out ids.
-    fn visit_at(
-        &self,
-        mut x: u32,
-        range: &KeyRange,
-        (mut lo, hi): (bool, bool),
-        f: &mut impl FnMut(VertexId),
-    ) {
-        while x != NIL {
-            let n = &self.nodes[x as usize];
-            if lo && n.key < range.lo {
-                x = n.right;
-                continue;
-            }
-            if hi && n.key > range.hi {
-                x = n.left;
-                continue;
-            }
-            if n.left != NIL {
-                self.visit_at(n.left, range, (lo, false), f);
-            }
-            f(n.id);
-            (x, lo) = (n.right, false);
         }
     }
 
@@ -830,31 +708,41 @@ impl<N: TrendNum> VertexTree<N> {
                 continue;
             }
             if !staged.contains(&x) {
-                self.root = self.remove_at(self.root, n.key, n.seq, store);
+                self.root = self.remove_at(self.root, n.key, n.seq);
             }
             out.push(n.id);
             self.nodes[x as usize] = Node {
                 id: NIL,
                 left: NIL,
                 right: NIL,
-                live: 0,
-                active: false,
+                size: 0,
+                stale: false,
                 ..n
             };
             self.free.push(x);
         }
     }
 
-    /// Merge the entries in `range` into `acc` (the new vertex's per-window
-    /// aggregates, ascending contiguous windows) and count them.
+    /// Merge the linked entries in `range` into `acc` (the new vertex's
+    /// per-window aggregates, ascending contiguous windows) and count them.
+    /// `pieces` is scratch space.
     fn fold_into(
-        &self,
+        &mut self,
         range: &KeyRange,
         store: &VertexStore<N>,
         acc: &mut [(WindowId, AggState<N>)],
         out: &mut FoldStats,
-        mut latest_start: Option<&mut Time>,
+        pieces: &mut Vec<Piece>,
     ) {
+        pieces.clear();
+        self.fold(self.root, range, range.bounds(), true, &mut |p| {
+            pieces.push(p)
+        });
+        for p in pieces.iter() {
+            if let Piece::Subtree(x) = *p {
+                self.clean(x, store);
+            }
+        }
         let Some(s) = self.sums.as_ref() else {
             return;
         };
@@ -865,42 +753,29 @@ impl<N: TrendNum> VertexTree<N> {
         let to = (s.first + s.windows as WindowId).min(acc_first + acc.len() as WindowId);
         let shared = to.saturating_sub(from) as usize;
         let (j0, a0) = ((from - s.first) as usize, (from - acc_first) as usize);
-        let mut visit = |p: Piece| match p {
-            Piece::Subtree(x) => {
-                let live = self.nodes[x as usize].live;
-                if live == 0 {
-                    return;
+        for p in pieces.iter() {
+            match *p {
+                Piece::Subtree(x) => {
+                    out.edges += u64::from(self.nodes[x as usize].size);
+                    for i in 0..shared {
+                        acc[a0 + i]
+                            .1
+                            .merge_slots(s.nums_of(x, j0 + i), s.exts_of(x, j0 + i));
+                    }
+                    out.merges += shared as u64;
                 }
-                out.edges += u64::from(live);
-                for i in 0..shared {
-                    acc[a0 + i]
-                        .1
-                        .merge_slots(s.nums_of(x, j0 + i), s.exts_of(x, j0 + i));
-                }
-                out.merges += shared as u64;
-                if let Some(ls) = latest_start.as_deref_mut() {
-                    *ls = (*ls).max(self.start_of(x));
-                }
-            }
-            Piece::Entry(x) => {
-                let n = &self.nodes[x as usize];
-                if !n.active {
-                    return;
-                }
-                out.edges += 1;
-                let v = store.get(n.id);
-                for i in 0..shared {
-                    if let Some(st) = v.pane_agg(s.first, j0 + i) {
-                        acc[a0 + i].1.merge(st);
-                        out.merges += 1;
+                Piece::Entry(x) => {
+                    out.edges += 1;
+                    let v = store.get(self.nodes[x as usize].id);
+                    for i in 0..shared {
+                        if let Some(st) = v.pane_agg(s.first, j0 + i) {
+                            acc[a0 + i].1.merge(st);
+                            out.merges += 1;
+                        }
                     }
                 }
-                if let Some(ls) = latest_start.as_deref_mut() {
-                    *ls = (*ls).max(v.latest_start);
-                }
             }
-        };
-        self.fold(self.root, range, range.bounds(), s.built, &mut visit);
+        }
     }
 }
 
@@ -945,6 +820,8 @@ pub struct GraphStorage<N: TrendNum> {
     /// Time of the staged entries of aggregate-indexed trees, if any (they
     /// all sit in the newest pane).
     pending_time: Option<Time>,
+    /// Scratch for [`fold_predecessors`](Self::fold_predecessors).
+    pieces: Vec<Piece>,
 }
 
 impl<N: TrendNum> GraphStorage<N> {
@@ -961,6 +838,7 @@ impl<N: TrendNum> GraphStorage<N> {
             aug: Vec::new(),
             window: WindowSpec::new(pane_len, pane_len),
             pending_time: None,
+            pieces: Vec::new(),
         }
     }
 
@@ -1053,7 +931,7 @@ impl<N: TrendNum> GraphStorage<N> {
             self.panes[pi].trees.push(tree);
         }
         let tree = &mut self.panes[pi].trees[s];
-        tree.insert(key, seq, id, t, &self.store);
+        tree.insert(key, seq, id, t);
         if tree.sums.is_some() {
             self.pending_time = Some(t);
         }
@@ -1068,7 +946,7 @@ impl<N: TrendNum> GraphStorage<N> {
         self.pending_time = None;
         if let Some(pane) = self.panes.back_mut() {
             for tree in &mut pane.trees {
-                tree.flush(&self.store);
+                tree.flush();
             }
         }
     }
@@ -1107,13 +985,15 @@ impl<N: TrendNum> GraphStorage<N> {
     /// Merge the aggregates of every predecessor of `state` with event time
     /// in `[lo, hi)` and sort key in `range` into `acc` (a new vertex's
     /// per-window aggregates at time `hi`, ascending contiguous windows),
-    /// as O(log n) subtree sums per pane, and fold their latest start into
-    /// `latest_start` if given. Needs an aggregate-indexed tree for `state`
-    /// (empty otherwise) and [`settle(hi)`](Self::settle) first.
+    /// as O(log n) subtree sums per pane. Needs an aggregate-indexed tree
+    /// for `state` (empty otherwise) and [`settle(hi)`](Self::settle)
+    /// first.
     ///
     /// Each pane only contributes to the windows it shares with `acc`. The
-    /// pane straddling `lo` shares none: its entries are only counted, after
-    /// deactivating those older than `lo`.
+    /// pane straddling `lo` shares none: its entries at or after `lo` are
+    /// only counted. The engine purges that pane before the next event
+    /// (its last window closed by `lo`), so the count walks a pane only
+    /// for direct callers of the storage layer.
     pub fn fold_predecessors(
         &mut self,
         state: StateId,
@@ -1121,7 +1001,6 @@ impl<N: TrendNum> GraphStorage<N> {
         hi: Time,
         range: Option<(CmpOp, f64)>,
         acc: &mut [(WindowId, AggState<N>)],
-        mut latest_start: Option<&mut Time>,
     ) -> FoldStats {
         let range = KeyRange::of(range);
         let mut out = FoldStats::default();
@@ -1133,11 +1012,16 @@ impl<N: TrendNum> GraphStorage<N> {
             if pane.start.ticks() + self.pane_len <= lo.ticks() {
                 continue;
             }
-            if let Some(tree) = pane.trees.get_mut(state.0 as usize) {
-                if pane.start < lo {
-                    tree.expire_before(lo, store);
-                }
-                tree.fold_into(&range, store, acc, &mut out, latest_start.as_deref_mut());
+            let Some(tree) = pane.trees.get_mut(state.0 as usize) else {
+                continue;
+            };
+            if pane.start < lo {
+                tree.visit(&range, &mut |id| {
+                    let t = store.get(id).event.time;
+                    out.edges += u64::from(t >= lo && t < hi);
+                });
+            } else {
+                tree.fold_into(&range, store, acc, &mut out, &mut self.pieces);
             }
         }
         out
@@ -1405,14 +1289,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// A vertex at `t` whose per-window count is `count`.
-        fn counted(
-            t: u64,
-            attr: f64,
-            seq: u64,
-            count: f64,
-            start: u64,
-            w: &WindowSpec,
-        ) -> Vertex<f64> {
+        fn counted(t: u64, attr: f64, seq: u64, count: f64, w: &WindowSpec) -> Vertex<f64> {
             let layout = AggLayout::default();
             let aggs = windows_of(Time(t), w)
                 .map(|wid| {
@@ -1426,13 +1303,13 @@ mod tests {
                     .into_ref(),
                 state: StateId(0),
                 seq,
-                latest_start: Time(start),
+                latest_start: Time(t),
                 aggs,
             }
         }
 
         fn indexed(w: WindowSpec) -> GraphStorage<f64> {
-            let spec = AugSpec::new(&AggLayout::default(), true);
+            let spec = AugSpec::new(&AggLayout::default());
             GraphStorage::new(crate::window::pane_length(&w), vec![Some(AttrId(0))])
                 .with_aggregates(w, vec![Some(spec)])
         }
@@ -1443,27 +1320,26 @@ mod tests {
             t: u64,
             w: &WindowSpec,
             range: Option<(CmpOp, f64)>,
-        ) -> (Vec<(WindowId, f64)>, u64, Time) {
+        ) -> (Vec<(WindowId, f64)>, u64) {
             let lo = Time(t.saturating_sub(w.within - 1));
             let mut acc: Vec<(WindowId, f64)> = windows_of(Time(t), w).map(|x| (x, 0.0)).collect();
-            let (mut edges, mut start) = (0, Time::ZERO);
+            let mut edges = 0;
             s.visit_candidates(StateId(0), lo, Time(t), range, |_, v| {
                 edges += 1;
-                start = start.max(v.latest_start);
                 for (wid, c) in acc.iter_mut() {
                     if let Some(st) = v.agg(*wid) {
                         *c += st.count;
                     }
                 }
             });
-            (acc, edges, start)
+            (acc, edges)
         }
 
         proptest! {
-            /// Subtree sums equal the per-predecessor merge, edge count and
-            /// latest start of the scan, for events arriving one by one with
-            /// nothing purged (so panes straddling the horizon stay and are
-            /// counted only), ties included.
+            /// Subtree sums equal the per-predecessor merge and edge count
+            /// of the scan, for events arriving one by one with nothing
+            /// purged (so panes straddling the horizon stay and are counted
+            /// only), ties included.
             #[test]
             fn fold_matches_scan(
                 steps in proptest::collection::vec((0u64..3, -4i32..4, 1u32..9), 1..60),
@@ -1478,20 +1354,17 @@ mod tests {
                 for (seq, (dt, attr, count)) in steps.iter().enumerate() {
                     t += dt;
                     let range = ops[op_idx].map(|op| (op, *attr as f64));
-                    let (want, want_edges, want_start) = naive(&s, t, &w, range);
+                    let (want, want_edges) = naive(&s, t, &w, range);
                     s.settle(Time(t));
                     let mut acc: Vec<(WindowId, AggState<f64>)> = windows_of(Time(t), &w)
                         .map(|x| (x, AggState::zero(&AggLayout::default())))
                         .collect();
-                    let mut start = Time::ZERO;
                     let lo = Time(t.saturating_sub(within - 1));
-                    let f = s.fold_predecessors(StateId(0), lo, Time(t), range, &mut acc, Some(&mut start));
+                    let f = s.fold_predecessors(StateId(0), lo, Time(t), range, &mut acc);
                     let got: Vec<(WindowId, f64)> = acc.iter().map(|(x, st)| (*x, st.count)).collect();
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(f.edges, want_edges);
-                    prop_assert_eq!(start, want_start);
-                    let start_of = t.saturating_sub(*count as u64);
-                    s.insert(counted(t, *attr as f64, seq as u64, *count as f64, start_of, &w));
+                    s.insert(counted(t, *attr as f64, seq as u64, *count as f64, &w));
                 }
             }
 
@@ -1500,7 +1373,7 @@ mod tests {
             /// sum, bit for bit.
             #[test]
             fn sums_do_not_depend_on_insertion_order(
-                raw_keys in proptest::collection::vec(-1000i32..1000, SUMS_FROM_ENTRIES..80),
+                raw_keys in proptest::collection::vec(-1000i32..1000, 1..80),
                 rotate in 0usize..80,
             ) {
                 // Distinct keys, so entries never share a priority rank.
@@ -1518,18 +1391,19 @@ mod tests {
                         // Counts spanning many binades make f64 sums
                         // order-sensitive.
                         let c = 1.0 + (seq as f64) * 1e15 + 0.1 * seq as f64;
-                        let v = counted(1, *k as f64, seq as u64, c, 0, &w);
+                        let v = counted(1, *k as f64, seq as u64, c, &w);
                         (ord_key(*k as f64), seq as u64, store.insert(v))
                     })
                     .collect();
-                let spec = AugSpec::new(&AggLayout::default(), false);
+                let spec = AugSpec::new(&AggLayout::default());
                 let build = |order: &[(i64, u64, VertexId)]| {
                     let mut tree = VertexTree::new(Some(Sums::new(spec, Time(0), &w)));
                     for &(k, seq, id) in order {
-                        tree.insert(k, seq, id, Time(1), &store);
+                        tree.insert(k, seq, id, Time(1));
                     }
-                    tree.flush(&store);
+                    tree.flush();
                     let root = tree.root;
+                    tree.clean(root, &store);
                     let sum = tree.sums.as_ref().unwrap().nums_of(root, 0)[0];
                     (tree.nodes[root as usize].id, sum.to_bits())
                 };
@@ -1542,7 +1416,7 @@ mod tests {
 
         /// Insert an entry at `t`; returns the vertex bytes it charges.
         fn add(s: &mut GraphStorage<f64>, seq: u64, t: u64, w: &WindowSpec) -> usize {
-            let v = counted(t, seq as f64, seq, 1.0, t, w);
+            let v = counted(t, seq as f64, seq, 1.0, w);
             let charge = v.heap_size();
             s.insert(v);
             charge
@@ -1556,18 +1430,16 @@ mod tests {
                 std::mem::size_of::<Node>(),
                 std::mem::size_of::<Pane<f64>>(),
             );
-            let n = SUMS_FROM_ENTRIES;
-            // Below the threshold an entry costs its node only.
+            // Every entry, staged or linked, carries its node plus 2
+            // windows × 1 slot.
+            let per = node + 2 * 8;
             let mut vertices = 0;
-            for seq in 0..n as u64 {
+            for seq in 0..3 {
                 vertices += add(&mut s, seq, 8, &w);
             }
-            assert_eq!(s.bytes(), vertices + pane + n * node);
-            // Time advances, the tied entries are linked, the tree reaches
-            // the threshold and keeps sums: every entry now also carries
-            // 2 windows × 1 slot plus its latest start.
-            vertices += add(&mut s, n as u64, 9, &w);
-            assert_eq!(s.bytes(), vertices + pane + (n + 1) * (node + 2 * 8 + 8));
+            assert_eq!(s.bytes(), vertices + pane + 3 * per);
+            vertices += add(&mut s, 3, 9, &w);
+            assert_eq!(s.bytes(), vertices + pane + 4 * per);
         }
     }
 

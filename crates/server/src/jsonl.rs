@@ -136,8 +136,8 @@ fn serve_line(writer: &mut TcpStream, shared: &Arc<Shared>, line: &str) -> Resul
                 None => Ok(format!(
                     "{{\"end\":{{\"session\":{session},\"query\":{query}}}}}"
                 )),
-                Some(feed) => {
-                    while let Some(SubMsg::Rows(rows)) = feed.next() {
+                Some(rx) => {
+                    while let Ok(SubMsg::Rows(rows)) = rx.recv() {
                         let line = encode_rows(session, query, &rows);
                         writeln!(writer, "{line}").map_err(|e| e.to_string())?;
                         writer.flush().map_err(|e| e.to_string())?;

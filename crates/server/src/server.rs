@@ -17,7 +17,7 @@
 
 use crate::metrics::{self, ServerMetrics, SessionMetrics};
 use crate::protocol::{self, ProtoError, Request, Response, SessionOptions};
-use crate::session::{spawn_session, RowFeed, SessionCmd, SessionHandle, SubMsg};
+use crate::session::{spawn_session, SessionCmd, SessionHandle, SubMsg};
 use crate::{http, jsonl};
 use crossbeam::channel::bounded;
 use greta_query::compile::CompiledQuery;
@@ -135,9 +135,9 @@ impl Shared {
                     reply: reply_tx,
                 })
                 .map_err(|_| format!("session {sid} is gone"))?;
-            let q = h
-                .await_reply(&reply_rx)
-                .ok_or_else(|| format!("session {sid} died during register"))??;
+            let q = reply_rx
+                .recv()
+                .map_err(|_| format!("session {sid} died during register"))??;
             return Ok((sid, q));
         }
         let compiled =
@@ -169,8 +169,9 @@ impl Shared {
                 reply: reply_tx,
             })
             .map_err(|_| format!("session {id} is gone"))?;
-        h.await_reply(&reply_rx)
-            .ok_or_else(|| format!("session {id} died during detach"))?
+        reply_rx
+            .recv()
+            .map_err(|_| format!("session {id} died during detach"))?
     }
 
     /// Check a session id exists (the `Attach` frame).
@@ -198,15 +199,20 @@ impl Shared {
                 reply: reply_tx,
             })
             .map_err(|_| format!("session {id} is gone"))?;
-        h.await_reply(&reply_rx)
-            .ok_or_else(|| format!("session {id} died during ingest"))?
+        reply_rx
+            .recv()
+            .map_err(|_| format!("session {id} died during ingest"))?
     }
 
     /// Register a subscriber channel on one query of a session. Returns
     /// `None` when the session already drained (the caller should send
     /// `End`). An unknown query id yields a live channel that receives
     /// an immediate `End` from the session thread.
-    pub(crate) fn subscribe(&self, id: u64, query: u32) -> Result<Option<RowFeed>, String> {
+    pub(crate) fn subscribe(
+        &self,
+        id: u64,
+        query: u32,
+    ) -> Result<Option<crossbeam::channel::Receiver<SubMsg>>, String> {
         let h = self.session(id)?;
         let (tx, rx) = SessionHandle::subscriber_channel();
         if h.drained.load(Ordering::SeqCst)
@@ -214,7 +220,7 @@ impl Shared {
         {
             return Ok(None);
         }
-        Ok(Some(RowFeed::new(rx, h)))
+        Ok(Some(rx))
     }
 
     /// Drain one session (idempotent), then retire it to the bounded
@@ -531,8 +537,8 @@ fn serve_subscription(
     session: u64,
     query: u32,
 ) -> bool {
-    let feed = match shared.subscribe(session, query) {
-        Ok(Some(feed)) => feed,
+    let rx = match shared.subscribe(session, query) {
+        Ok(Some(rx)) => rx,
         Ok(None) => {
             // Already drained: nothing more will ever arrive.
             return protocol::write_response(stream, &Response::End { session, query }).is_ok();
@@ -540,8 +546,8 @@ fn serve_subscription(
         Err(msg) => return protocol::write_response(stream, &Response::Error { msg }).is_ok(),
     };
     loop {
-        match feed.next() {
-            Some(SubMsg::Rows(rows)) => {
+        match rx.recv() {
+            Ok(SubMsg::Rows(rows)) => {
                 if protocol::write_response(
                     stream,
                     &Response::Rows {
@@ -555,7 +561,7 @@ fn serve_subscription(
                     return false;
                 }
             }
-            Some(SubMsg::End) | None => {
+            Ok(SubMsg::End) | Err(_) => {
                 return protocol::write_response(stream, &Response::End { session, query }).is_ok();
             }
         }

@@ -18,7 +18,7 @@
 // lint:lock-order: sessions < drained_tail < last_stats < query_texts < join
 
 use crate::protocol::{IngestAck, SessionOptions};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use greta_core::{
     EmissionMode, ExecutorConfig, ExecutorStats, QueryId, StreamExecutor, WindowResult,
 };
@@ -38,9 +38,6 @@ const CMD_CHANNEL_CAPACITY: usize = 16;
 const SUB_CHANNEL_CAPACITY: usize = 64;
 /// Rows per `Rows` frame handed to a subscriber.
 const SUB_BATCH_ROWS: usize = 256;
-/// How often a connection waiting on the session thread checks that the
-/// thread is still there to answer.
-const REPLY_POLL: Duration = Duration::from_millis(20);
 
 /// Commands a connection thread can send to a session thread.
 pub(crate) enum SessionCmd {
@@ -91,24 +88,6 @@ pub(crate) enum SubMsg {
     Rows(Vec<WindowResult<f64>>),
     /// The session drained; no more rows will follow.
     End,
-}
-
-/// A subscriber's end of one query's row stream.
-pub(crate) struct RowFeed {
-    rx: Receiver<SubMsg>,
-    session: Arc<SessionHandle>,
-}
-
-impl RowFeed {
-    pub(crate) fn new(rx: Receiver<SubMsg>, session: Arc<SessionHandle>) -> RowFeed {
-        RowFeed { rx, session }
-    }
-
-    /// The next message; `None` when the session thread is gone without
-    /// sending `End` (treat it as the end of the stream).
-    pub(crate) fn next(&self) -> Option<SubMsg> {
-        self.session.await_reply(&self.rx)
-    }
 }
 
 /// How an ingest batch failed.
@@ -310,8 +289,7 @@ fn run_session(
         channel_capacity: (opts.channel_capacity.max(1)) as usize,
         result_capacity: (opts.result_capacity.max(1)) as usize,
     };
-    // `true` once the session drained: it answers no more commands.
-    let drained_out = 'serve: loop {
+    loop {
         let mut worked = false;
         loop {
             match cmd_rx.try_recv() {
@@ -330,7 +308,7 @@ fn run_session(
                         // under LatePolicy::Error) already replied with an
                         // error and the session keeps serving.
                         s.broadcast_end();
-                        break 'serve false;
+                        return;
                     }
                 }
                 Ok(SessionCmd::Subscribe { query, tx }) => {
@@ -379,7 +357,11 @@ fn run_session(
                     s.publish_stats(&last_stats);
                     drained.store(true, Ordering::SeqCst);
                     let _ = reply.send(res);
-                    break 'serve true;
+                    // Returning drops `cmd_rx` and with it every command
+                    // still queued: their reply and subscriber senders
+                    // disconnect, so a `Subscribe` that raced this drain
+                    // gets `End` and any other caller an error.
+                    return;
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -395,40 +377,6 @@ fn run_session(
         }
         if !worked {
             std::thread::sleep(Duration::from_millis(1));
-        }
-    };
-    refuse_queued(&cmd_rx, drained_out);
-}
-
-/// Answer every command still queued when the session stops serving
-/// (for example a `Subscribe` that arrived while a `Drain` ran):
-/// subscribers get `End`, a repeated `Drain` of a drained session
-/// succeeds, everything else gets an error. A command sent after this
-/// sweep is never read; its sender notices through
-/// [`SessionHandle::await_reply`] once the thread has exited.
-fn refuse_queued(cmd_rx: &Receiver<SessionCmd>, drained: bool) {
-    let why = if drained {
-        "session is drained"
-    } else {
-        "session stopped"
-    };
-    while let Ok(cmd) = cmd_rx.try_recv() {
-        match cmd {
-            SessionCmd::Subscribe { tx, .. } => {
-                let _ = tx.try_send(SubMsg::End);
-            }
-            SessionCmd::Ingest { reply, .. } => {
-                let _ = reply.try_send(Err(why.into()));
-            }
-            SessionCmd::Register { reply, .. } => {
-                let _ = reply.try_send(Err(why.into()));
-            }
-            SessionCmd::Deregister { reply, .. } => {
-                let _ = reply.try_send(Err(why.into()));
-            }
-            SessionCmd::Drain { reply } => {
-                let _ = reply.try_send(if drained { Ok(()) } else { Err(why.into()) });
-            }
         }
     }
 }
@@ -677,35 +625,6 @@ impl SessionHandle {
         bounded(SUB_CHANNEL_CAPACITY)
     }
 
-    /// True once the session thread has returned (or been joined): it
-    /// will never answer another command.
-    fn thread_finished(&self) -> bool {
-        self.join
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-            .is_none_or(JoinHandle::is_finished)
-    }
-
-    /// Wait for the session thread's answer on `rx` (a command reply or a
-    /// subscriber message). `None` once the thread is gone without one —
-    /// the command was queued behind the thread's exit, or the thread
-    /// died — so no caller waits on a session that cannot answer.
-    pub(crate) fn await_reply<T>(&self, rx: &Receiver<T>) -> Option<T> {
-        loop {
-            match rx.recv_timeout(REPLY_POLL) {
-                Ok(msg) => return Some(msg),
-                Err(RecvTimeoutError::Disconnected) => return None,
-                // Whatever the thread sent before exiting is queued by
-                // now; take it or give up.
-                Err(RecvTimeoutError::Timeout) if self.thread_finished() => {
-                    return rx.try_recv().ok()
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-    }
-
     /// Send a drain command and wait for the terminal checkpoint. A
     /// second drain of an already-drained session succeeds immediately.
     pub(crate) fn drain_blocking(&self) -> Result<(), String> {
@@ -721,8 +640,8 @@ impl SessionHandle {
                 Err("session thread is gone without draining".into())
             };
         }
-        match self.await_reply(&reply_rx) {
-            Some(res) => {
+        match reply_rx.recv() {
+            Ok(res) => {
                 // Poison recovery: the slot holds only an Option —
                 // taking it after a panic elsewhere is always sound,
                 // and skipping the join would leak the thread.
@@ -736,7 +655,7 @@ impl SessionHandle {
                 }
                 res
             }
-            None => {
+            Err(_) => {
                 if self.drained.load(Ordering::SeqCst) {
                     Ok(())
                 } else {
